@@ -9,8 +9,6 @@ invariant checker over a source tree::
     kalis-lint --write-baseline …        # snapshot current findings
     kalis-lint --format json …           # machine-readable output
     kalis-lint --format sarif …          # SARIF 2.1.0 (CI annotations)
-    kalis-lint --jobs 4 …                # file rules across 4 processes
-                                         # (output identical to serial)
     kalis-lint --changed [REF] …         # only files touched since REF
                                          # (plus their transitive importers)
     kalis-lint --fix [--dry-run] …       # rewrite autofixable findings
@@ -108,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         dest="output_format",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run file-scoped rules across N worker processes (default 1"
-        " = serial; output is byte-identical either way)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list rules and exit"
@@ -235,9 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.select:
         select = [r.strip() for r in options.select.split(",") if r.strip()]
     try:
-        findings = run_rules(
-            project, select=select, cache=cache, jobs=options.jobs
-        )
+        findings = run_rules(project, select=select, cache=cache)
     except KeyError as error:
         # str(KeyError) wraps the message in quotes; unwrap it.
         parser.error(error.args[0] if error.args else str(error))

@@ -112,18 +112,12 @@ def run_rules(
     project: Project,
     select: Optional[Iterable[str]] = None,
     cache: Optional["LintCache"] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Run the selected rules (default: all) over a parsed project.
 
     With a :class:`~repro.analysis.cache.LintCache`, file-scoped rules
     re-run only on files whose content changed, and program-scoped
     rules re-run only when any file (or the analysis code) changed.
-
-    With ``jobs > 1``, cache-miss file-scoped work fans out across a
-    process pool (:mod:`repro.analysis.parallel`); results come back in
-    serial iteration order, so the output is byte-identical to
-    ``jobs=1``, and any pool failure silently falls back to serial.
     """
     _ensure_rules_loaded()
     findings: List[Finding] = [
@@ -155,41 +149,22 @@ def run_rules(
         rule_id for rule_id in selected if _RULES[rule_id].SCOPE == "file"
     ]
 
-    # File-scoped rules: consult the cache first, then run the misses —
-    # through the pool when there are enough of them, serially otherwise.
-    per_task: Dict[tuple, List[Finding]] = {}
-    pending: List[tuple] = []
+    # File-scoped rules: consult the cache first, then run the misses.
     for rule_id in file_rule_ids:
-        for index, source in enumerate(project.files):
-            cached = (
+        rule = _RULES[rule_id]()
+        for source in project.files:
+            results = (
                 cache.get_file_findings(source.relpath, source.text, rule_id)
                 if cache is not None
                 else None
             )
-            if cached is None:
-                pending.append((rule_id, index))
-            else:
-                per_task[(rule_id, index)] = cached
-    computed: Dict[tuple, List[Finding]] = {}
-    if pending and jobs > 1:
-        from repro.analysis.parallel import MIN_TASKS, run_file_tasks
-
-        if len(pending) >= MIN_TASKS:
-            computed = run_file_tasks(project, pending, jobs) or {}
-    instances = {rule_id: _RULES[rule_id]() for rule_id in file_rule_ids}
-    for rule_id, index in pending:
-        source = project.files[index]
-        results = computed.get((rule_id, index))
-        if results is None:
-            results = list(instances[rule_id].check_file(project, source))
-        if cache is not None:
-            cache.put_file_findings(
-                source.relpath, source.text, rule_id, results
-            )
-        per_task[(rule_id, index)] = results
-    for rule_id in file_rule_ids:
-        for index in range(len(project.files)):
-            findings.extend(per_task[(rule_id, index)])
+            if results is None:
+                results = list(rule.check_file(project, source))
+                if cache is not None:
+                    cache.put_file_findings(
+                        source.relpath, source.text, rule_id, results
+                    )
+            findings.extend(results)
 
     for rule_id in selected:
         if _RULES[rule_id].SCOPE == "file":

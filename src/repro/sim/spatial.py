@@ -10,10 +10,10 @@ the sender's cell.  Membership is maintained incrementally on
 add/remove/move instead of re-scanning the whole registry per query.
 
 Two query shapes are offered: :meth:`SpatialGrid.near` returns a plain
-key list (the scalar delivery path), and :meth:`SpatialGrid.near_arrays`
+key list (topology queries), and :meth:`SpatialGrid.near_arrays`
 returns the whole neighborhood as packed parallel arrays — keys, the
-caller's opaque payloads, and numpy x/y coordinate vectors — so the
-batched delivery path can compute every candidate distance in one
+caller's opaque payloads, and numpy x/y coordinate vectors — so frame
+delivery can compute every candidate distance in one
 vectorized pass instead of one position lookup per key.  Neighborhood
 results are cached per cell and invalidated by a grid-wide version
 stamp (any insert/remove/move bumps it, including within-cell moves,

@@ -184,11 +184,12 @@ class HashedBlock:
 
     Produced by :meth:`HashedStream.sample_block`: row ``i`` holds the
     same 32 digest bytes :meth:`HashedStream.sample` would return for
-    key ``common_key + (tails[i],)``, so the scalar and batched delivery
-    paths consume identical bits.  :attr:`words` exposes the digests as
-    an ``(n, DRAWS_PER_DIGEST)`` uint64 array (big-endian chunks, like
-    ``HashedDraws``); :meth:`uniforms` converts one draw column with the
-    exact arithmetic of :meth:`HashedDraws.uniform`.
+    key ``common_key + (tails[i],)``, so per-key scalar draws and the
+    batched delivery path consume identical bits.  :attr:`words`
+    exposes the digests as an ``(n, DRAWS_PER_DIGEST)`` uint64 array
+    (big-endian chunks, like ``HashedDraws``); :meth:`uniforms` converts
+    one draw column with the exact arithmetic of
+    :meth:`HashedDraws.uniform`.
     """
 
     __slots__ = ("digests", "count", "_words")

@@ -1,15 +1,14 @@
-"""Batched-vs-scalar delivery equivalence.
+"""Production delivery vs the brute-force scalar reference.
 
-The vectorized delivery path (``use_batched_delivery=True``, the
-default) must be *byte-identical* to the per-candidate scalar loop it
-replaced: same reception sets, same per-pair RSSI values bit for bit,
-same candidate accounting — across random topologies, seeds, and
+:meth:`Simulator.transmit` (grid-culled, vectorized, batched) must be
+*byte-identical* to :class:`tests.sim_reference.ReferenceSimulator`
+(every member scanned, one scalar link budget and one heap entry per
+receiver): same reception sets, same per-pair RSSI values bit for bit,
+same timestamps and deliveries — across random topologies, seeds, and
 medium parameters, including the degenerate branches (certain drop,
-zero shadowing, wired medium).  The scalar loop stays available behind
-the flag exactly so these tests can use it as the oracle.
+zero shadowing, wired medium) and membership churn.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -22,6 +21,9 @@ from repro.sim.medium import PathLossParams, RadioMedium
 from repro.sim.node import SimNode
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
+from tests.sim_reference import ReferenceSimulator, broadcast_round_robin, flat_site
+
+SIMULATORS = (Simulator, ReferenceSimulator)
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,8 @@ class _RecordingNode(SimNode):
         self.heard.append((medium.value, rssi, timestamp))
 
 
-def _build_world(seed, node_count, area, medium, params, loss,
-                 spatial, batched):
-    sim = Simulator(
-        seed=seed, use_spatial_index=spatial, use_batched_delivery=batched
-    )
+def _build_world(simulator_class, seed, node_count, area, medium, params, loss):
+    sim = simulator_class(seed=seed)
     sim.set_medium(
         RadioMedium(
             medium,
@@ -82,13 +81,13 @@ def _history(nodes):
     return {str(node.node_id): node.heard for node in nodes}
 
 
-def _run_one(seed, node_count, area, medium, params, loss, spatial, batched):
-    sim, nodes = _build_world(
-        seed, node_count, area, medium, params, loss, spatial, batched
+def _neighborhood_candidates(sim, nodes, medium, senders):
+    """Sum over the frames of each sender's grid neighborhood, less
+    the sender itself — what production must count as candidates."""
+    grid = sim._grid(medium)
+    return sum(
+        len(grid.near(nodes[index % len(nodes)].position)) - 1 for index in senders
     )
-    senders = range(0, node_count * 3, max(1, node_count // 4))
-    receptions = _drive(sim, nodes, medium, senders)
-    return _history(nodes), receptions, sim.candidate_evaluations, sim.deliveries
 
 
 class TestBatchedEqualsScalar:
@@ -102,8 +101,9 @@ class TestBatchedEqualsScalar:
         loss=st.sampled_from([0.0, 0.15, 0.5, 0.97, 1.0]),
     )
     def test_property_sweep(self, seed, node_count, area, exponent, sigma, loss):
-        """Random topology/seed/params: all four (spatial x batched)
-        paths agree on every reception, RSSI bit and counter."""
+        """Random topology/seed/params: production and reference agree
+        on every reception, RSSI bit and delivery, and production counts
+        exactly the grid-neighborhood candidates."""
         params = PathLossParams(
             tx_power_dbm=0.0,
             pl_d0_db=40.0,
@@ -112,52 +112,56 @@ class TestBatchedEqualsScalar:
             shadowing_sigma_db=sigma,
         )
         if loss >= 1.0:
-            # base_loss_probability must be < 1; reach certain drop via
-            # interference instead, below.
+            # base_loss_probability must be < 1; certain drop is
+            # covered through interference in test_certain_drop_jammer.
             loss = 0.97
-        results = {
-            combo: _run_one(
-                seed, node_count, area, Medium.IEEE_802_15_4, params, loss,
-                *combo,
-            )
-            for combo in itertools.product([True, False], repeat=2)
-        }
-        baseline = results[(True, True)]
-        for combo, result in results.items():
-            assert result[0] == baseline[0], combo  # exact RSSI + times
-            assert result[1] == baseline[1], combo  # receptions
-            assert result[3] == baseline[3], combo  # deliveries
-        # Candidate accounting matches within each candidate-source.
-        assert results[(True, True)][2] == results[(True, False)][2]
-        assert results[(False, True)][2] == results[(False, False)][2]
-
-    @pytest.mark.parametrize("spatial", [True, False])
-    def test_certain_drop_jammer(self, spatial):
-        """loss >= 1.0 (saturating jammer): zero receptions on both
-        paths, and candidate accounting still runs."""
-        params = PathLossParams(shadowing_sigma_db=1.5)
-        outcomes = []
-        for batched in (True, False):
+        senders = range(0, node_count * 3, max(1, node_count // 4))
+        results = []
+        for simulator_class in SIMULATORS:
             sim, nodes = _build_world(
-                7, 10, 60.0, Medium.IEEE_802_15_4, params, 0.0, spatial, batched
+                simulator_class, seed, node_count, area,
+                Medium.IEEE_802_15_4, params, loss,
+            )
+            receptions = _drive(sim, nodes, Medium.IEEE_802_15_4, senders)
+            results.append((_history(nodes), receptions, sim.deliveries))
+            if simulator_class is Simulator:
+                assert sim.candidate_evaluations == _neighborhood_candidates(
+                    sim, nodes, Medium.IEEE_802_15_4, senders
+                )
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("spread", [True, False])
+    def test_certain_drop_jammer(self, spread):
+        """loss >= 1.0 (saturating jammer): zero receptions on both
+        paths, and candidate accounting still runs — on a compact site
+        and on one wide enough for the grid to cull."""
+        params = PathLossParams(shadowing_sigma_db=1.5)
+        area = 600.0 if spread else 60.0
+        for simulator_class in SIMULATORS:
+            sim, nodes = _build_world(
+                simulator_class, 7, 10, area, Medium.IEEE_802_15_4, params, 0.0
             )
             sim.medium(Medium.IEEE_802_15_4).set_interference(1.0)
             receptions = _drive(sim, nodes, Medium.IEEE_802_15_4, range(10))
-            outcomes.append((receptions, sim.candidate_evaluations))
             assert receptions == 0
             assert sim.deliveries == 0
-            assert sim.candidate_evaluations > 0
-        assert outcomes[0] == outcomes[1]
+            if simulator_class is Simulator:
+                assert sim.candidate_evaluations == _neighborhood_candidates(
+                    sim, nodes, Medium.IEEE_802_15_4, range(10)
+                )
+            else:
+                assert sim.candidate_evaluations == 10 * 9
 
-    @pytest.mark.parametrize("spatial", [True, False])
-    def test_zero_sigma_deterministic_rssi(self, spatial):
+    @pytest.mark.parametrize("spread", [True, False])
+    def test_zero_sigma_deterministic_rssi(self, spread):
         """sigma == 0 consumes no shadowing draws; the loss uniform
         shifts to draw word 0 identically on both paths."""
         params = PathLossParams(shadowing_sigma_db=0.0)
+        area = 400.0 if spread else 80.0
         histories = []
-        for batched in (True, False):
+        for simulator_class in SIMULATORS:
             sim, nodes = _build_world(
-                11, 12, 80.0, Medium.IEEE_802_15_4, params, 0.3, spatial, batched
+                simulator_class, 11, 12, area, Medium.IEEE_802_15_4, params, 0.3
             )
             _drive(sim, nodes, Medium.IEEE_802_15_4, range(12))
             histories.append(_history(nodes))
@@ -170,45 +174,33 @@ class TestBatchedEqualsScalar:
     def test_wired_medium_degenerate(self):
         """The wired pseudo-medium has an unbounded cull range (single
         grid bucket) and zero sigma — everything hears everything,
-        identically on all four paths."""
+        identically on both paths."""
         params = PathLossParams(
             pl_d0_db=0.0, exponent=0.01, sensitivity_dbm=-100.0,
             shadowing_sigma_db=0.0,
         )
         histories = []
-        for spatial, batched in itertools.product([True, False], repeat=2):
+        for simulator_class in SIMULATORS:
             sim, nodes = _build_world(
-                3, 8, 5000.0, Medium.WIRED, params, 0.0, spatial, batched
+                simulator_class, 3, 8, 5000.0, Medium.WIRED, params, 0.0
             )
             receptions = _drive(sim, nodes, Medium.WIRED, range(8))
             histories.append((_history(nodes), receptions))
             assert receptions == 8 * 7  # full mesh, no losses
-        assert all(entry == histories[0] for entry in histories[1:])
+        assert histories[0] == histories[1]
 
-
-class TestBruteForceMemberCache:
-    """The brute-force path caches its sorted member list (it used to
-    re-sort the registry every transmission); the cache must invalidate
-    on register/unregister and survive crashes unchanged."""
-
-    @staticmethod
-    def _world(batched):
-        sim, nodes = _build_world(
-            19, 14, 90.0, Medium.IEEE_802_15_4,
-            PathLossParams(shadowing_sigma_db=1.5), 0.1,
-            spatial=False, batched=batched,
-        )
-        return sim, nodes
-
-    def test_reception_sets_unchanged_across_membership_churn(self):
+    def test_membership_churn_matches_reference(self):
+        """Unregister one node, register a new one, crash another: dead
+        nodes stay registered and are filtered at transmit, removed
+        ones are gone, and both paths still agree."""
         outcomes = []
-        for batched in (True, False):
-            sim, nodes = self._world(batched)
+        for simulator_class in SIMULATORS:
+            sim, nodes = _build_world(
+                simulator_class, 19, 14, 90.0, Medium.IEEE_802_15_4,
+                PathLossParams(shadowing_sigma_db=1.5), 0.1,
+            )
             medium = Medium.IEEE_802_15_4
             _drive(sim, nodes, medium, range(4))
-            # Unregister one node, register a new one, crash another:
-            # the cached order must track the first two and ignore the
-            # third (dead nodes stay registered, filtered at transmit).
             sim.remove_node(nodes[5].node_id)
             late = _RecordingNode(NodeId("late"), (45.0, 45.0), [medium])
             sim.add_node(late)
@@ -216,28 +208,47 @@ class TestBruteForceMemberCache:
             sim.run(0.1)
             _drive(sim, nodes, medium, [0, 1, 2, 3, 6, 8, 9])
             survivors = [n for n in nodes if n.node_id != nodes[5].node_id]
-            outcomes.append(
-                (_history(survivors + [late]), sim.candidate_evaluations,
-                 sim.deliveries)
-            )
+            outcomes.append((_history(survivors + [late]), sim.deliveries))
         assert outcomes[0] == outcomes[1]
 
-    def test_cached_order_invalidated_on_churn(self):
-        sim, nodes = self._world(True)
-        medium = Medium.IEEE_802_15_4
-        nodes[0].send(medium, _Probe())
-        first = sim._member_order_cache[medium]
-        assert first == sorted(sim._members[medium])
-        # Crash does not touch membership: cache object survives.
-        nodes[3].crash()
-        nodes[0].send(medium, _Probe())
-        assert sim._member_order_cache[medium] is first
-        # Register/unregister invalidate it.
-        sim.remove_node(nodes[4].node_id)
-        assert medium not in sim._member_order_cache
-        nodes[0].send(medium, _Probe())
-        assert nodes[4].node_id not in sim._member_order_cache[medium]
-        sim.add_node(_RecordingNode(NodeId("a0"), (1.0, 1.0), [medium]))
-        assert medium not in sim._member_order_cache
-        nodes[0].send(medium, _Probe())
-        assert NodeId("a0") in sim._member_order_cache[medium]
+
+class TestSenderCache:
+    def test_remove_node_drops_its_candidate_snapshots(self):
+        """Regression: a removed sender's (medium, node) snapshot used
+        to stay in ``_sender_cache``, keeping the node and its candidate
+        arrays alive and pickling them into every later checkpoint."""
+        sim, nodes = flat_site(Simulator, 5, 50)
+        broadcast_round_robin(sim, nodes, 50)
+        assert len(sim._sender_cache) == 50
+        removed = nodes[:20]
+        for node in removed:
+            sim.remove_node(node.node_id)
+        removed_ids = {node.node_id for node in removed}
+        assert not any(key[1] in removed_ids for key in sim._sender_cache)
+        for entry in sim._sender_cache.values():
+            assert not any(node in removed for node in entry[4])
+        # The survivors still deliver exactly like the reference.
+        reference, reference_nodes = flat_site(ReferenceSimulator, 5, 50)
+        broadcast_round_robin(reference, reference_nodes, 50)
+        for node in reference_nodes[:20]:
+            reference.remove_node(node.node_id)
+        assert broadcast_round_robin(sim, nodes[20:], 60) == broadcast_round_robin(
+            reference, reference_nodes[20:], 60
+        )
+        assert sim.deliveries == reference.deliveries
+
+
+class TestAtScale:
+    def test_n8000_identical_to_reference(self):
+        """The ``delivery_8k`` geometry (N=8,000, seed 47), 400 frames:
+        per-frame receptions, per-receiver (RSSI, timestamp) histories
+        and deliveries all match the brute-force reference."""
+        outcomes = []
+        for simulator_class in SIMULATORS:
+            sim, nodes = flat_site(
+                simulator_class, 47, 8000, node_class=_RecordingNode
+            )
+            receptions = broadcast_round_robin(sim, nodes, 400)
+            outcomes.append((receptions, _history(nodes), sim.deliveries))
+        assert sum(outcomes[0][0]) == 1772
+        assert outcomes[0] == outcomes[1]

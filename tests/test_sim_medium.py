@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 
 from repro.net.packets.base import Medium
-from repro.sim.medium import DEFAULT_PARAMS, PathLossParams, RadioMedium
+from repro.net.packets.ieee802154 import Ieee802154Frame
+from repro.sim.engine import Simulator
+from repro.sim.medium import (
+    DEFAULT_PARAMS,
+    SHADOWING_CULL_SIGMAS,
+    PathLossParams,
+    RadioMedium,
+)
+from repro.sim.node import SimNode
+from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
+from tests.sim_reference import pair_frame_lost, pair_rssi, pair_sample
+
+
+def _receivers(count):
+    return [f"r{index}" for index in range(count)]
 
 
 class TestPathLossParams:
@@ -61,48 +75,54 @@ class TestPathLossParams:
 
 
 class TestPairSampling:
-    """Order-independent per-(sender, receiver, sequence) draws."""
+    """Order-independent per-(sender, receiver, sequence) draws.
+
+    The scalar pair functions are the reference ones from
+    ``tests/sim_reference.py``; the block methods are checked against
+    them bit for bit.
+    """
 
     def test_same_key_same_rssi(self):
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
-        first = medium.pair_rssi(20.0, medium.pair_sample("a", "b", 7))
-        again = medium.pair_rssi(20.0, medium.pair_sample("a", "b", 7))
+        first = pair_rssi(medium, 20.0, pair_sample(medium, "a", "b", 7))
+        again = pair_rssi(medium, 20.0, pair_sample(medium, "a", "b", 7))
         assert first == again
 
     def test_distinct_keys_distinct_draws(self):
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
         values = {
-            medium.pair_rssi(20.0, medium.pair_sample(s, r, q))
+            pair_rssi(medium, 20.0, pair_sample(medium, s, r, q))
             for s, r, q in [("a", "b", 1), ("a", "b", 2), ("a", "c", 1), ("b", "a", 1)]
         }
         assert len(values) == 4
 
     def test_pair_rssi_clamped_to_cull_margin(self):
-        from repro.sim.medium import SHADOWING_CULL_SIGMAS
-
         medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(4))
         params = medium.params
         bound = SHADOWING_CULL_SIGMAS * params.shadowing_sigma_db
         for sequence in range(2000):
-            rssi = medium.pair_rssi(20.0, medium.pair_sample("a", "b", sequence))
+            rssi = pair_rssi(medium, 20.0, pair_sample(medium, "a", "b", sequence))
             assert abs(rssi - params.mean_rssi(20.0)) <= bound + 1e-9
+        block = medium.pair_sample_block("a", 1, _receivers(2000))
+        rssis = medium.pair_rssi_block(np.full(2000, 20.0), block)
+        assert (np.abs(rssis - params.mean_rssi(20.0)) <= bound + 1e-9).all()
 
     def test_pair_frame_lost_matches_probability(self):
         medium = RadioMedium(
             Medium.WIFI, rng=SeededRng(4), base_loss_probability=0.5
         )
         losses = sum(
-            medium.pair_frame_lost(medium.pair_sample("a", "b", sequence))
+            pair_frame_lost(medium, pair_sample(medium, "a", "b", sequence))
             for sequence in range(500)
         )
         assert 150 < losses < 350
 
     def test_pair_certain_loss_and_zero_loss_skip_draws(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(4))
-        draws = medium.pair_sample("a", "b", 1)
-        assert not medium.pair_frame_lost(draws)  # loss == 0, no draw
+        draws = pair_sample(medium, "a", "b", 1)
+        assert not pair_frame_lost(medium, draws)  # loss == 0, no draw
         medium.set_interference(1.0)
-        assert medium.pair_frame_lost(draws)  # loss >= 1, no draw
+        assert pair_frame_lost(medium, draws)  # loss >= 1, no draw
         # The full budget is still available afterwards.
         draws.normal()
         draws.uniform()
@@ -119,9 +139,8 @@ class TestPairSampling:
         block = medium.pair_sample_block("sender", 9, receivers)
         batch = medium.pair_rssi_block(distances, block)
         for index, receiver in enumerate(receivers):
-            scalar = medium.pair_rssi(
-                float(distances[index]), medium.pair_sample("sender", receiver, 9)
-            )
+            draws = pair_sample(medium, "sender", receiver, 9)
+            scalar = pair_rssi(medium, float(distances[index]), draws)
             assert batch[index] == scalar
 
     def test_pair_frame_lost_block_bit_identical_to_scalar(self):
@@ -135,9 +154,9 @@ class TestPairSampling:
         medium.pair_rssi_block(np.full(len(receivers), 25.0), block)
         lost = medium.pair_frame_lost_block(block)
         for index, receiver in enumerate(receivers):
-            draws = medium.pair_sample("sender", receiver, 3)
-            medium.pair_rssi(25.0, draws)
-            assert bool(lost[index]) == medium.pair_frame_lost(draws)
+            draws = pair_sample(medium, "sender", receiver, 3)
+            pair_rssi(medium, 25.0, draws)
+            assert bool(lost[index]) == pair_frame_lost(medium, draws)
         assert 0 < int(lost.sum()) < len(receivers)
 
     def test_pair_frame_lost_block_degenerate_branches(self):
@@ -161,57 +180,103 @@ class TestPairSampling:
         assert (rssi == params.mean_rssi(10.0)).all()
         lost = medium.pair_frame_lost_block(block)
         for index, receiver in enumerate(receivers):
-            draws = medium.pair_sample("s", receiver, 5)
-            assert medium.pair_rssi(10.0, draws) == params.mean_rssi(10.0)
-            assert bool(lost[index]) == medium.pair_frame_lost(draws)
+            draws = pair_sample(medium, "s", receiver, 5)
+            assert pair_rssi(medium, 10.0, draws) == params.mean_rssi(10.0)
+            assert bool(lost[index]) == pair_frame_lost(medium, draws)
 
 
 class TestRadioMedium:
     def test_shadowing_varies_samples(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(1))
-        samples = {medium.rssi_at(20.0) for _ in range(10)}
+        block = medium.pair_sample_block("a", 1, _receivers(10))
+        samples = set(medium.pair_rssi_block(np.full(10, 20.0), block).tolist())
         assert len(samples) > 1
 
     def test_zero_sigma_is_deterministic(self):
         params = PathLossParams(shadowing_sigma_db=0.0)
         medium = RadioMedium(Medium.WIFI, params=params, rng=SeededRng(1))
-        assert medium.rssi_at(20.0) == medium.rssi_at(20.0)
+        for sequence in (1, 2):
+            block = medium.pair_sample_block("a", sequence, _receivers(10))
+            rssis = medium.pair_rssi_block(np.full(10, 20.0), block)
+            assert (rssis == params.mean_rssi(20.0)).all()
 
     def test_receivable_threshold(self):
-        medium = RadioMedium(Medium.IEEE_802_15_4, rng=SeededRng(1))
-        assert medium.receivable(-89.9)
-        assert not medium.receivable(-90.1)
+        """A frame is heard at or above the sensitivity floor, not
+        below: with zero shadowing, mean RSSI -89.88 dBm at 46 m is
+        heard and -90.16 dBm at 47 m is not."""
+        params = PathLossParams(shadowing_sigma_db=0.0)
+        assert params.mean_rssi(46.0) > params.sensitivity_dbm > params.mean_rssi(47.0)
+        sim = Simulator(seed=1)
+        sim.set_medium(RadioMedium(Medium.IEEE_802_15_4, params=params))
+        heard = []
+
+        class Listener(SimNode):
+            def on_receive(self, packet, medium, rssi, timestamp):
+                heard.append(self.node_id.value)
+
+        sender = sim.add_node(
+            SimNode(NodeId("s"), (0.0, 0.0), mediums=(Medium.IEEE_802_15_4,))
+        )
+        for name, x in (("near", 46.0), ("far", 47.0)):
+            sim.add_node(Listener(NodeId(name), (x, 0.0), mediums=(Medium.IEEE_802_15_4,)))
+        sim.run_until(0.0)
+        frame = Ieee802154Frame(pan_id=1, seq=1, src=sender.node_id, dst=None)
+        assert sender.send(Medium.IEEE_802_15_4, frame) == 1
+        sim.run(0.05)
+        assert heard == ["near"]
 
     def test_no_loss_by_default(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(1))
-        assert not any(medium.frame_lost() for _ in range(100))
+        block = medium.pair_sample_block("a", 1, _receivers(100))
+        assert not medium.pair_frame_lost_block(block).any()
 
     def test_base_loss_probability(self):
         medium = RadioMedium(
             Medium.WIFI, rng=SeededRng(1), base_loss_probability=0.5
         )
-        losses = sum(medium.frame_lost() for _ in range(500))
+        block = medium.pair_sample_block("a", 1, _receivers(500))
+        losses = int(medium.pair_frame_lost_block(block).sum())
         assert 150 < losses < 350
 
     def test_interference_injection(self):
         medium = RadioMedium(Medium.WIFI, rng=SeededRng(1))
         medium.set_interference(1.0)
         # A saturating jammer is a certain drop — no ~0.1% leak.
-        assert all(medium.frame_lost() for _ in range(100))
+        block = medium.pair_sample_block("a", 1, _receivers(100))
+        assert medium.pair_frame_lost_block(block).all()
 
     def test_certain_loss_consumes_no_draw(self):
-        """loss >= 1.0 must not advance the RNG: draws made during a
-        total blackout cannot perturb draws made after it."""
-        def draws_after_blackout(blackout_frames):
-            medium = RadioMedium(Medium.WIFI, rng=SeededRng(9),
-                                 base_loss_probability=0.5)
-            medium.set_interference(1.0)
-            for _ in range(blackout_frames):
-                assert medium.frame_lost()
-            medium.set_interference(0.0)
-            return [medium.frame_lost() for _ in range(50)]
+        """loss >= 1.0 reads no draw word: the block's lazily decoded
+        words stay untouched, and under a saturating jammer transmit
+        never hashes a block at all."""
+        medium = RadioMedium(
+            Medium.WIFI, rng=SeededRng(9), base_loss_probability=0.5
+        )
+        medium.set_interference(1.0)
+        block = medium.pair_sample_block("a", 1, _receivers(50))
+        assert medium.pair_frame_lost_block(block).all()
+        assert block._words is None
+        medium.set_interference(0.0)
+        assert not medium.pair_frame_lost_block(block).all()
+        assert block._words is not None
 
-        assert draws_after_blackout(0) == draws_after_blackout(137)
+        sim = Simulator(seed=9)
+        jammed = sim.medium(Medium.IEEE_802_15_4)
+        jammed.set_interference(1.0)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a certain drop must not sample draws")
+
+        jammed.pair_sample_block = no_draws
+        nodes = [
+            sim.add_node(SimNode(NodeId(f"n{index}"), (index * 5.0, 0.0),
+                                 mediums=(Medium.IEEE_802_15_4,)))
+            for index in range(4)
+        ]
+        sim.run_until(0.0)
+        frame = Ieee802154Frame(pan_id=1, seq=1, src=nodes[0].node_id, dst=None)
+        assert nodes[0].send(Medium.IEEE_802_15_4, frame) == 0
+        assert sim.candidate_evaluations == 3
 
     def test_invalid_loss_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 The load-bearing property: routing transmissions through the spatial
 grid yields the *identical* reception set — receiver for receiver,
-RSSI for RSSI — as a brute-force scan of every node, because draws are
+RSSI for RSSI — as the brute-force scan of every node in
+:class:`tests.sim_reference.ReferenceSimulator`, because draws are
 keyed per (sender, receiver, transmission) and culled candidates can
 never be receivable (clamped shadowing margin).
 """
@@ -20,6 +21,7 @@ from repro.sim.spatial import SpatialGrid
 from repro.sim.topology import random_positions
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
+from tests.sim_reference import ReferenceSimulator
 
 
 class TestSpatialGrid:
@@ -99,8 +101,8 @@ class _RecordingNode(SimNode):
         self.heard.append((packet.seq, rssi))
 
 
-def _build(seed, positions, use_spatial_index):
-    sim = Simulator(seed=seed, use_spatial_index=use_spatial_index)
+def _build(seed, positions, simulator_class=Simulator):
+    sim = simulator_class(seed=seed)
     nodes = []
     for index, position in enumerate(positions):
         nodes.append(
@@ -135,7 +137,7 @@ def _reception_map(nodes):
 
 
 class TestFastPathEquivalence:
-    """Grid-indexed transmit == brute-force transmit, draw for draw."""
+    """Grid-indexed transmit == the brute-force reference, draw for draw."""
 
     @pytest.mark.parametrize("seed", [3, 17, 92])
     def test_random_topology_identical_receptions(self, seed):
@@ -145,8 +147,8 @@ class TestFastPathEquivalence:
         positions = random_positions(
             40, (0, 0, span, span), rng=SeededRng(seed, "topo")
         )
-        sim_a, nodes_a = _build(seed, positions, use_spatial_index=True)
-        sim_b, nodes_b = _build(seed, positions, use_spatial_index=False)
+        sim_a, nodes_a = _build(seed, positions)
+        sim_b, nodes_b = _build(seed, positions, ReferenceSimulator)
         counts_a = _broadcast_all(sim_a, nodes_a, frames=30)
         counts_b = _broadcast_all(sim_b, nodes_b, frames=30)
         assert counts_a == counts_b
@@ -167,8 +169,8 @@ class TestFastPathEquivalence:
             (cell / 2, cell / 2),
             (cell * 0.999, cell * 1.001),
         ]
-        sim_a, nodes_a = _build(7, positions, use_spatial_index=True)
-        sim_b, nodes_b = _build(7, positions, use_spatial_index=False)
+        sim_a, nodes_a = _build(7, positions)
+        sim_b, nodes_b = _build(7, positions, ReferenceSimulator)
         _broadcast_all(sim_a, nodes_a, frames=len(positions) * 2)
         _broadcast_all(sim_b, nodes_b, frames=len(positions) * 2)
         assert _reception_map(nodes_a) == _reception_map(nodes_b)
@@ -178,8 +180,8 @@ class TestFastPathEquivalence:
         positions = random_positions(
             20, (0, 0, span, span), rng=SeededRng(11, "topo")
         )
-        sim_a, nodes_a = _build(11, positions, use_spatial_index=True)
-        sim_b, nodes_b = _build(11, positions, use_spatial_index=False)
+        sim_a, nodes_a = _build(11, positions)
+        sim_b, nodes_b = _build(11, positions, ReferenceSimulator)
         move_rng_a = SeededRng(11, "moves")
         move_rng_b = SeededRng(11, "moves")
         for round_index in range(6):
@@ -202,7 +204,7 @@ class TestFastPathEquivalence:
 
         def first_rssi(extra_node):
             positions = [(0.0, 0.0), (15.0, 0.0)]
-            sim, nodes = _build(21, positions, use_spatial_index=True)
+            sim, nodes = _build(21, positions)
             if extra_node:
                 sim.add_node(
                     _RecordingNode(
