@@ -22,10 +22,10 @@ call lands in* — so a topic constant passed through a wrapper like
   wrappers resolve too.
 
 Resolution is deliberately name-based (no type inference): ``self.kb``
-and ``self.bus`` receiver roles follow the same spelling conventions the
-per-file rules use, plus the two defining classes themselves
-(``KnowledgeBase`` methods called on ``self`` are KB primitives,
-``EventBus`` methods called on ``self`` are bus primitives).
+and ``self.bus`` receiver roles follow fixed spelling conventions, plus
+the two defining classes themselves (``KnowledgeBase`` methods called
+on ``self`` are KB primitives, ``EventBus`` methods called on ``self``
+are bus primitives).
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.analysis.astutil import call_arg, call_chain
 from repro.analysis.project import Project, SourceFile
 
-#: Receiver spellings that denote a KnowledgeBase (mirror rules/labels).
+#: Receiver spellings that denote a KnowledgeBase.
 KB_RECEIVERS = frozenset({"kb", "_kb"})
-#: Receiver suffixes that denote an EventBus (mirror rules/topics).
+#: Receiver suffixes that denote an EventBus.
 BUS_RECEIVER_SUFFIXES = ("bus", "_bus")
 #: Classes whose ``self.<method>`` calls are primitives of that role.
 KB_CLASSES = frozenset({"KnowledgeBase"})

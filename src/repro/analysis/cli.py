@@ -5,7 +5,7 @@ invariant checker over a source tree::
 
     kalis-lint src/repro                 # lint, honoring the baseline
     kalis-lint --list-rules              # what is checked
-    kalis-lint --select KL001,KL003 …    # a subset of rules
+    kalis-lint --select KL001,KL101 …    # a subset of rules
     kalis-lint --write-baseline …        # snapshot current findings
     kalis-lint --format json …           # machine-readable output
     kalis-lint --format sarif …          # SARIF 2.1.0 (CI annotations)
@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kalis-lint",
         description=(
             "AST-based invariant checker for the Kalis reproduction:"
-            " determinism, module contracts, knowledge-label flow, packet"
-            " schemas, and event-bus topics."
+            " determinism, module contracts, packet schemas, and the"
+            " whole-program knowledge-label flow and event-bus topics."
         ),
     )
     parser.add_argument(

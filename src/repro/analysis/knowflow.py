@@ -12,9 +12,9 @@ the two dataflow surfaces Kalis's correctness rests on (paper §IV):
   topic-forwarding wrapper such as ``ModuleSupervisor._publish``) and
   every ``bus.subscribe`` / ``subscribe_prefix`` site.
 
-Unlike the per-file KL003/KL005 passes, sites hidden behind wrappers are
-resolved here (``self._publish_rate(f"TrafficIn.{kind}", …)`` *is* a
-``TrafficIn.`` writer), and a light local constant propagation follows
+Sites hidden behind wrappers are resolved
+(``self._publish_rate(f"TrafficIn.{kind}", …)`` *is* a ``TrafficIn.``
+writer), and a light local constant propagation follows
 single-assignment locals (``label = f"SharedAlert{i}"; kb.put(label)``
 is a ``SharedAlert`` prefix write).
 
@@ -42,7 +42,7 @@ from repro.analysis.project import Project
 
 #: Packages the flow never scans: the analyzer itself, and the taxonomy
 #: helpers which build knowledge bases reflectively from the very maps
-#: under test (mirrors rules/labels.py).
+#: under test.
 EXCLUDED_PACKAGES = ("repro.analysis", "repro.taxonomy")
 
 

@@ -1,8 +1,8 @@
 """KL101–KL104 — whole-program knowledge-flow and topic liveness.
 
-These rules are the whole-program counterparts of the per-file KL003 and
-KL005 passes: they run on the :mod:`repro.analysis.knowflow` graph, so
-sites hidden behind wrappers (``ModuleSupervisor._publish``,
+These rules are kalis-lint's only knowledge-label and bus-topic checks.
+They run on the :mod:`repro.analysis.knowflow` graph, so sites hidden
+behind wrappers (``ModuleSupervisor._publish``,
 ``TrafficStatsModule._publish_rate``) and single-assignment locals are
 resolved before liveness is judged.
 
@@ -19,13 +19,16 @@ resolved before liveness is judged.
 - **KL103** — orphan bus topic: a publication with no overlapping
   subscription (WARNING — may be an intentional operational surface) or
   a subscription with no overlapping publication (ERROR — the handler
-  can never fire).  Unlike KL005, wrapper-derived publish sites count,
-  so ``self._publish(TOPIC_MODULE_RESTORE, …)`` is not a blind spot.
+  can never fire).  Wrapper-derived publish sites count, so
+  ``self._publish(TOPIC_MODULE_RESTORE, …)`` is not a blind spot.
 - **KL104** — module contract drift: a detection module whose code
   strictly reads (``get``/``get_knowgget`` without ``default=``) a
   knowgget its ``REQUIREMENTS`` never declare and the module itself
   never writes.  Tolerant list-reads (``with_label``/``sublabels``) and
   defaulted reads are the sanctioned way to consume optional knowledge.
+  The exception is ``required()``: activation may depend only on
+  declared labels, so any read there — defaulted or not — of a label
+  the ``REQUIREMENTS`` do not declare is an ERROR.
 """
 
 from __future__ import annotations
@@ -249,12 +252,27 @@ class ContractDriftRule(Rule):
             owner = site.owner
             if owner is None or owner not in contracts:
                 continue
+            kind, label = site.pattern
+            required = contracts[owner]
+            if site.function == f"{owner}.required":
+                if kind == "exact" and label in required:
+                    continue
+                rendered = site.render()
+                yield self.finding(
+                    Severity.ERROR,
+                    site.path,
+                    site.line,
+                    f"{owner}.required() reads knowgget {rendered!r} but its"
+                    " REQUIREMENTS never declare it — activation then"
+                    " depends on a label outside the module's declared"
+                    " contract; declare the Requirement",
+                    key=f"{owner}:{rendered}",
+                )
+                continue
             if site.via not in _STRICT_READS or site.has_default:
                 continue
-            kind, label = site.pattern
             if kind != "exact" or label is None:
                 continue
-            required = contracts[owner]
             if label in required:
                 continue
             if any(

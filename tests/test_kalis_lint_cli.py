@@ -37,17 +37,21 @@ class TestFlags:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("KL001", "KL002", "KL003", "KL004", "KL005", "KL006"):
+        for rule_id in ("KL001", "KL002", "KL004", "KL006"):
             assert rule_id in out
+        # Label and topic flow are whole-program only (KL101–KL103).
+        for retired in ("KL003", "KL005"):
+            assert retired not in out
         # Whole-program rules ride the same registry.
         for rule_id in ("KL101", "KL102", "KL103", "KL104", "KL105"):
             assert rule_id in out
 
     def test_select_unknown_rule_is_usage_error(self, tmp_path, capsys):
         tree = write_tree(tmp_path, _DIRTY_TREE)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--root", str(tmp_path), "--select", "KL999", str(tree)])
-        assert excinfo.value.code == 2
+        for rule_id in ("KL999", "KL003", "KL005"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--root", str(tmp_path), "--select", rule_id, str(tree)])
+            assert excinfo.value.code == 2
         capsys.readouterr()
 
     def test_select_restricts_rules(self, tmp_path, capsys):
@@ -103,7 +107,7 @@ class TestFlags:
 
 
 class TestDottedConstantResolution:
-    """KL005 resolves dotted constant references (``consts.TOPIC``)."""
+    """KL103 resolves dotted constant references (``consts.TOPIC``)."""
 
     def _tree(self, tmp_path, topic):
         return write_tree(
@@ -131,12 +135,15 @@ class TestDottedConstantResolution:
         code = main(
             [
                 "--root", str(tmp_path), "--no-baseline",
-                "--select", "KL005", str(tree),
+                "--select", "KL103", str(tree),
             ]
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "alert.missing" in out
+        assert any(
+            "KL103 [error]" in line and "'alert.missing'" in line
+            for line in out.splitlines()
+        )
 
     def test_dotted_constant_subscription_with_publisher_is_clean(
         self, tmp_path, capsys
@@ -145,7 +152,7 @@ class TestDottedConstantResolution:
         code = main(
             [
                 "--root", str(tmp_path), "--no-baseline",
-                "--select", "KL005", str(tree),
+                "--select", "KL103", str(tree),
             ]
         )
         assert code == 0

@@ -219,8 +219,8 @@ class TestKL103OrphanTopics:
         assert run(tmp_path, files, "KL103") == []
 
     def test_wrapper_publish_counts(self, tmp_path):
-        """KL005's blind spot: a publish through a topic-forwarding
-        wrapper still pairs with its subscription here."""
+        """A publish through a topic-forwarding wrapper still pairs
+        with its subscription."""
         files = {
             "repro/core/super.py": """
             TOPIC = "module.event"
@@ -319,6 +319,37 @@ class TestKL104ContractDrift:
             def handle(self):
                 return self.ctx.kb.get("Undeclared", str)
         """
+        assert run(tmp_path, files, "KL104") == []
+
+    REQUIRED_OVERRIDE = """
+        from repro.core.modules.base import Requirement
+
+        class GatedModule:
+            REQUIREMENTS = (Requirement(label="Declared"),)
+
+            def required(self, kb):
+                return not kb.get("{label}", bool, default=False)
+        """
+
+    def test_required_override_reading_undeclared_label_is_error(
+        self, tmp_path
+    ):
+        """Activation reads must be declared, even tolerant ones."""
+        files = dict(self.VIOLATION)
+        files["repro/core/modules/detection/drifty.py"] = (
+            self.REQUIRED_OVERRIDE.replace("{label}", "Undeclared")
+        )
+        findings = run(tmp_path, files, "KL104")
+        assert [(f.key, f.severity.value) for f in findings] == [
+            ("GatedModule:Undeclared", "error")
+        ]
+        assert "required()" in findings[0].message
+
+    def test_required_override_reading_declared_label_passes(self, tmp_path):
+        files = dict(self.VIOLATION)
+        files["repro/core/modules/detection/drifty.py"] = (
+            self.REQUIRED_OVERRIDE.replace("{label}", "Declared")
+        )
         assert run(tmp_path, files, "KL104") == []
 
 

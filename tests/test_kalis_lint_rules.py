@@ -20,8 +20,8 @@ def make_project(tmp_path, files):
     return Project.load([tmp_path / "src" / "repro"], root=tmp_path)
 
 
-def run(tmp_path, files, rule):
-    return run_rules(make_project(tmp_path, files), select=[rule])
+def run(tmp_path, files, *rules):
+    return run_rules(make_project(tmp_path, files), select=list(rules))
 
 
 class TestDeterminismRule:
@@ -201,6 +201,9 @@ class TestModuleContractRule:
 
 
 class TestLabelFlowRule:
+    """Knowgget label flow: checked whole-program by KL101 (a consumed
+    label nobody writes) and KL102 (a written label nobody reads)."""
+
     def test_exact_producer_satisfies_requirement(self, tmp_path):
         findings = run(
             tmp_path,
@@ -208,7 +211,7 @@ class TestLabelFlowRule:
                 "repro/core/modules/detection/good.py": _GOOD_MODULE,
                 "repro/core/modules/sensing/topo.py": _PRODUCER,
             },
-            "KL003",
+            "KL101", "KL102",
         )
         assert findings == []
 
@@ -223,7 +226,7 @@ class TestLabelFlowRule:
                 "repro/core/modules/detection/good.py": consumer,
                 "repro/core/modules/sensing/topo.py": producer,
             },
-            "KL003",
+            "KL101", "KL102",
         )
         assert findings == []
 
@@ -231,19 +234,20 @@ class TestLabelFlowRule:
         findings = run(
             tmp_path,
             {"repro/core/modules/detection/good.py": _GOOD_MODULE},
-            "KL003",
+            "KL101", "KL102",
         )
         assert len(findings) == 1
+        assert findings[0].rule == "KL101"
         assert findings[0].key == "Multihop"
         assert findings[0].severity.value == "error"
-        assert "dormant" in findings[0].message
+        assert "can never be satisfied" in findings[0].message
 
     def test_orphan_producer_is_warning(self, tmp_path):
         findings = run(
             tmp_path, {"repro/core/modules/sensing/topo.py": _PRODUCER},
-            "KL003",
+            "KL101", "KL102",
         )
-        assert [f.key for f in findings] == ["Multihop"]
+        assert [(f.rule, f.key) for f in findings] == [("KL102", "Multihop")]
         assert findings[0].severity.value == "warning"
 
     def test_orphan_softened_by_constant_reference_elsewhere(self, tmp_path):
@@ -255,7 +259,7 @@ class TestLabelFlowRule:
                 FREEZABLE = ("Multihop",)
                 """,
             },
-            "KL003",
+            "KL101", "KL102",
         )
         assert findings == []
 
@@ -272,10 +276,14 @@ class TestLabelFlowRule:
                     return [kb.get_knowgget(LABELS)]
                 """
             },
-            "KL003",
+            "KL101", "KL102",
         )
-        # Both tuple labels become consumers; neither is produced.
-        assert {f.key for f in findings} == {"Multihop", "Mobility"}
+        # Both tuple labels become strict reads; neither is written.
+        assert {(f.rule, f.key) for f in findings} == {
+            ("KL101", "Multihop"),
+            ("KL101", "Mobility"),
+        }
+        assert {f.severity.value for f in findings} == {"error"}
 
 
 _PACKET_BASE = """
@@ -380,6 +388,8 @@ class TestPacketSchemaRule:
 
 
 class TestTopicFlowRule:
+    """Bus topic flow: checked whole-program by KL103."""
+
     def test_matched_topics_are_clean(self, tmp_path):
         findings = run(
             tmp_path,
@@ -401,7 +411,7 @@ class TestTopicFlowRule:
                     bus.subscribe_prefix(PREFIX, print)
                 """,
             },
-            "KL005",
+            "KL103",
         )
         assert findings == []
 
@@ -416,10 +426,15 @@ class TestTopicFlowRule:
                     bus.subscribe("alert", print)
                 """
             },
-            "KL005",
+            "KL103",
         )
-        assert [f.key for f in findings] == ["alert"]
-        assert findings[0].line == 5
+        by_key = {f.key: f for f in findings}
+        assert set(by_key) == {"alert", "alerts"}
+        assert by_key["alert"].severity.value == "error"
+        assert by_key["alert"].line == 5
+        # The typo also leaves the real publication unsubscribed.
+        assert by_key["alerts"].severity.value == "warning"
+        assert by_key["alerts"].line == 4
 
     def test_dynamic_publish_suppresses(self, tmp_path):
         findings = run(
@@ -427,12 +442,17 @@ class TestTopicFlowRule:
             {
                 "repro/core/wiring.py": """
                 def wire(bus, topic):
-                    \"\"\"Dynamic publish makes subscriptions unknowable.\"\"\"
+                    \"\"\"Forward a topic; subscribe to a fixed one.\"\"\"
                     bus.publish(topic, None)
                     bus.subscribe("anything", print)
+
+
+                def relay(bus, message):
+                    \"\"\"A non-constant topic makes subscriptions unknowable.\"\"\"
+                    wire(bus, message.topic)
                 """
             },
-            "KL005",
+            "KL103",
         )
         assert findings == []
 
@@ -446,7 +466,7 @@ class TestTopicFlowRule:
                     kb.subscribe("Mobility", print)
                 """
             },
-            "KL005",
+            "KL103",
         )
         assert findings == []
 
