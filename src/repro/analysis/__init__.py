@@ -20,10 +20,13 @@ Public surface:
 
 Per-file rules: KL001 determinism, KL002 module contracts, KL004
 packet schemas, KL006 unused imports, KL007 swallowed exceptions, KL008 no print()
-outside the CLI surface — plus KL000 (syntax failure) and KL099 (stale
-baseline entry).  Whole-program rules: KL101 knowgget liveness, KL102
-dead knowledge, KL103 orphan bus topics, KL104 module contract drift,
-KL105 determinism taint.
+outside the CLI surface, KL105 determinism taint, KL203 RNG provenance
+— plus KL000 (syntax failure) and KL099 (stale baseline entry).
+KL001, KL105 and KL203 share one import-aware resolver
+(:mod:`repro.analysis.nondeterminism`) and own disjoint slices of it.
+Whole-program rules: KL101 knowgget liveness, KL102 dead knowledge,
+KL103 orphan bus topics, KL104 module contract drift, the KL2xx
+state-graph and KL3xx process-boundary rules.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry

@@ -1,7 +1,7 @@
 """Symbol resolution and the whole-program call graph.
 
 Per-file AST rules see one call site at a time; whole-program rules
-(KL101..KL105, the knowledge-flow graph) need to know *which function a
+(KL101..KL104, the knowledge-flow graph) need to know *which function a
 call lands in* — so a topic constant passed through a wrapper like
 ``ModuleSupervisor._publish(topic, payload)`` still reaches the real
 ``bus.publish`` underneath.  This layer derives, from a parsed

@@ -21,8 +21,19 @@ invariant checker over a source tree::
     kalis-lint graph --view proc         # export the process-boundary
                                          # graph (serialization, forks,
                                          # queues, wire schemas)
-    kalis-lint baseline --audit …        # flag stale baseline entries
-    kalis-lint baseline --audit --prune  # …and rewrite without them
+
+Determinism is three disjoint rules on one resolver
+(:mod:`repro.analysis.nondeterminism`): KL203 owns raw randomness
+anywhere outside ``util.rng``; KL001 owns wall-clock, entropy and
+identity use in ``sim``/``core``/``proto``/``attacks``; KL105 owns such
+values reaching a decision sink in ``eventbus``/``experiments``/
+``firewall``.
+
+A full run is also the baseline audit: a baseline entry whose file and
+rule were checked but that matched no finding is reported as KL099 and
+fails the run.  ``--write-baseline`` drops such entries, keeps the ones
+the run could not judge (file not scanned, rule not selected), and
+keeps every justification already written.
 
 ``--changed`` still parses the *whole* tree (the KL1xx whole-program
 rules are unsound on a partial parse); only the reported findings are
@@ -39,16 +50,17 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
-from repro.analysis.baseline import Baseline, BaselineError
+from repro.analysis.baseline import Baseline, BaselineEntry, BaselineError
+from repro.analysis.cache import LintCache
 from repro.analysis.engine import (
     STALE_BASELINE_RULE_ID,
     available_rules,
     run_rules,
 )
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.project import Project
+from repro.analysis.project import Project, _find_root
 
 #: Default baseline file name, looked up in the project root.
 BASELINE_FILENAME = "kalis-lint.baseline"
@@ -93,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         action="store_true",
         help="write current findings to the baseline file and exit 0;"
-        " existing justifications are preserved",
+        " existing justifications are preserved, and entries this run"
+        " could not judge (file not scanned, rule not selected) are kept",
     )
     parser.add_argument(
         "--select",
@@ -189,8 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     if arguments and arguments[0] == "graph":
         return graph_main(arguments[1:])
-    if arguments and arguments[0] == "baseline":
-        return baseline_main(arguments[1:])
     parser = build_parser()
     options = parser.parse_args(arguments)
 
@@ -199,27 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule_class.ID}  {rule_class.TITLE}")
         return 0
 
-    paths = [Path(p) for p in options.paths]
-    if not paths:
-        default = Path("src/repro")
-        if not default.exists():
-            parser.error("no paths given and ./src/repro does not exist")
-        paths = [default]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        parser.error(f"no such path: {', '.join(missing)}")
-
-    cache = None
-    if not options.no_cache:
-        from repro.analysis.cache import LintCache
-        from repro.analysis.project import _find_root
-
-        cache_root = (
-            options.root
-            or _find_root([path.resolve() for path in paths])
-        ).resolve()
-        cache = LintCache(cache_root)
-    project = Project.load(paths, root=options.root, cache=cache)
+    project, cache = _load_project(parser, options, cached=not options.no_cache)
 
     select = None
     if options.select:
@@ -240,8 +231,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"kalis-lint: {error}", file=sys.stderr)
             return 2
 
+    scanned = {source.relpath for source in project.files}
+    scanned.update(failure.relpath for failure in project.failures)
     if options.write_baseline:
-        return _write_baseline(baseline_path, baseline, findings)
+        return _write_baseline(
+            baseline_path, baseline, findings, scanned, select
+        )
 
     scope: Optional[Set[str]] = None
     if options.changed is not None:
@@ -261,15 +256,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             reported.append(finding)
 
-    scanned = {source.relpath for source in project.files}
-    scanned.update(failure.relpath for failure in project.failures)
     if scope is not None:
         # Out-of-scope files were not (re-)judged; their baseline
         # entries cannot be called stale.
         scanned &= scope
     for entry in baseline.stale_entries(scanned):
-        if select is not None and entry.rule not in select:
-            # The entry's rule did not run; it cannot be judged stale.
+        if not _judged(entry, scanned, select):
             continue
         reported.append(
             Finding(
@@ -405,17 +397,7 @@ def graph_main(argv: List[str]) -> int:
     """Run ``kalis-lint graph``; returns the process exit code."""
     parser = build_graph_parser()
     options = parser.parse_args(argv)
-    paths = [Path(p) for p in options.paths]
-    if not paths:
-        default = Path("src/repro")
-        if not default.exists():
-            parser.error("no paths given and ./src/repro does not exist")
-        paths = [default]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        parser.error(f"no such path: {', '.join(missing)}")
-
-    project = Project.load(paths, root=options.root)
+    project, _ = _load_project(parser, options, cached=True)
     if options.view == "proc":
         from repro.analysis import procgraph
 
@@ -454,53 +436,11 @@ def graph_main(argv: List[str]) -> int:
     return 0
 
 
-def build_baseline_parser() -> argparse.ArgumentParser:
-    """Build the ``kalis-lint baseline`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="kalis-lint baseline",
-        description=(
-            "Audit the baseline against a full lint run: flag entries"
-            " whose (rule, path, key) no longer matches any current"
-            " finding, and optionally prune them."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--root", type=Path, default=None, help="project root"
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{BASELINE_FILENAME})",
-    )
-    parser.add_argument(
-        "--audit",
-        action="store_true",
-        help="report stale entries; exit 1 if any (this is the default"
-        " and only mode, the flag exists for readability in CI)",
-    )
-    parser.add_argument(
-        "--prune",
-        action="store_true",
-        help="rewrite the baseline file without the stale entries",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore .kalis-lint-cache for the underlying lint run",
-    )
-    return parser
-
-
-def baseline_main(argv: List[str]) -> int:
-    """Run ``kalis-lint baseline``; returns the process exit code."""
-    parser = build_baseline_parser()
-    options = parser.parse_args(argv)
+def _load_project(
+    parser: argparse.ArgumentParser, options: argparse.Namespace, cached: bool
+) -> Tuple[Project, Optional[LintCache]]:
+    """Check the path arguments (default ``src/repro``) and parse them,
+    through the on-disk lint cache when ``cached``."""
     paths = [Path(p) for p in options.paths]
     if not paths:
         default = Path("src/repro")
@@ -510,74 +450,35 @@ def baseline_main(argv: List[str]) -> int:
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         parser.error(f"no such path: {', '.join(missing)}")
-
     cache = None
-    if not options.no_cache:
-        from repro.analysis.cache import LintCache
-        from repro.analysis.project import _find_root
+    if cached:
+        root = options.root or _find_root([path.resolve() for path in paths])
+        cache = LintCache(root.resolve())
+    return Project.load(paths, root=options.root, cache=cache), cache
 
-        cache_root = (
-            options.root or _find_root([path.resolve() for path in paths])
-        ).resolve()
-        cache = LintCache(cache_root)
-    project = Project.load(paths, root=options.root, cache=cache)
-    findings = run_rules(project, cache=cache)
 
-    baseline_path = options.baseline or (project.root / BASELINE_FILENAME)
-    try:
-        baseline = Baseline.load(baseline_path)
-    except BaselineError as error:
-        print(f"kalis-lint: {error}", file=sys.stderr)
-        return 2
-    for finding in findings:
-        baseline.suppresses(finding)  # marks matching entries as used
-
-    scanned = {source.relpath for source in project.files}
-    scanned.update(failure.relpath for failure in project.failures)
-    stale = baseline.stale_entries(scanned)
-    unjudged = [
-        entry for entry in baseline.entries() if entry.path not in scanned
-    ]
-    for entry in stale:
-        print(
-            f"{entry.path}: stale {entry.rule} entry {entry.key!r}"
-            f" ({entry.reason})"
-        )
-    if options.prune and stale:
-        stale_ids = {entry.identity for entry in stale}
-        kept = [
-            entry
-            for entry in baseline.entries()
-            if entry.identity not in stale_ids
-        ]
-        baseline_path.write_text(
-            Baseline.render_file(kept), encoding="utf-8"
-        )
-        print(
-            f"kalis-lint: pruned {len(stale)} stale entr"
-            f"{'y' if len(stale) == 1 else 'ies'} from {baseline_path}"
-            f" ({len(kept)} kept)"
-        )
-        return 0
-    summary = (
-        f"kalis-lint: {len(stale)} stale baseline entr"
-        f"{'y' if len(stale) == 1 else 'ies'}"
-        if stale
-        else "kalis-lint: baseline is live"
-    )
-    details = [f"{len(baseline)} entries", f"{len(project.files)} files"]
-    if unjudged:
-        details.append(f"{len(unjudged)} outside the scanned paths")
-    print(f"{summary} ({', '.join(details)})")
-    return 1 if stale else 0
+def _judged(
+    entry: BaselineEntry, scanned: Set[str], select: Optional[List[str]]
+) -> bool:
+    """Did this run check the entry's file with the entry's rule?"""
+    return entry.path in scanned and (select is None or entry.rule in select)
 
 
 def _write_baseline(
-    baseline_path: Path, existing: Baseline, findings: List[Finding]
+    baseline_path: Path,
+    existing: Baseline,
+    findings: List[Finding],
+    scanned: Set[str],
+    select: Optional[List[str]],
 ) -> int:
-    """Snapshot current findings, keeping justifications already written."""
+    """Snapshot current findings, keeping justifications already written
+    and every entry this run could not judge."""
     previous = {entry.identity: entry for entry in existing.entries()}
-    entries = []
+    entries = [
+        entry
+        for entry in existing.entries()
+        if not _judged(entry, scanned, select)
+    ]
     for finding in findings:
         identity = (finding.rule, finding.path, finding.key)
         kept = previous.get(identity)

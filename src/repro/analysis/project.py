@@ -150,7 +150,7 @@ class Project:
                         head = alias.name.split(".", 1)[0]
                         self.module_aliases[(source.module, head)] = head
             elif isinstance(statement, ast.ImportFrom):
-                origin = self._absolute_import(source, statement)
+                origin = self.absolute_import(source, statement)
                 if origin is None:
                     continue
                 if origin in self.by_module:
@@ -197,7 +197,7 @@ class Project:
                 self.str_tuple_constants[(module, name)] = tuple(elements)
 
     @staticmethod
-    def _absolute_import(source: SourceFile, node: ast.ImportFrom) -> Optional[str]:
+    def absolute_import(source: SourceFile, node: ast.ImportFrom) -> Optional[str]:
         if node.level == 0:
             return node.module
         # Relative import: level 1 means "this file's package" — for a

@@ -16,7 +16,6 @@ from repro.analysis.rules import (  # noqa: F401  (imports register rules)
     prints,
     state,
     swallows,
-    taint,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "prints",
     "state",
     "swallows",
-    "taint",
 ]

@@ -1,4 +1,4 @@
-"""KL201–KL205 — checkpoint-safety and shard-isolation rules.
+"""KL201, KL202, KL204, KL205 — checkpoint-safety and shard-isolation rules.
 
 These rules run on the :mod:`repro.analysis.stategraph` whole-program
 state inventory.  They are the static gate for ROADMAP items 1 and 5: a
@@ -15,13 +15,6 @@ KB/DataStore/RNG snapshot-restore.
   objects.  A class carrying one must define ``__getstate__``/
   ``__setstate__``/``__reduce__`` or a rebuild hook, or the snapshot
   fails (or worse, half-succeeds).
-- **KL203** — RNG provenance: every stream must flow from the node seed
-  through :mod:`repro.util.rng`.  Direct ``random.*``/``np.random.*``
-  use is an ERROR anywhere outside ``util.rng``; constructing a
-  ``SeededRng``/``HashedStream`` from a numeric literal (instead of a
-  derived seed) is a WARNING.  The injectable-default idiom
-  ``rng if rng is not None else SeededRng(0, "label")`` is exempt — the
-  literal branch is the documented test-only fallback.
 - **KL204** — stale-after-restore caches: a derived field (spatial grid,
   timestamp ring, bound counters) mutated in place with no rebuild/
   invalidate hook referencing it.  A restore would resurrect the stale
@@ -40,24 +33,15 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.engine import Rule, register_rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import Project, SourceFile
+from repro.analysis.project import Project
 from repro.analysis.stategraph import (
     DERIVED,
     MUTABLE_FACTORY_NAMES,
-    RNG_CONSTRUCTORS,
     StateGraph,
     derive_stategraph,
     _chain_of,
     _is_mutable_literal,
 )
-
-#: The one module allowed to touch raw randomness primitives.
-RNG_HOME_MODULE = "repro.util.rng"
-
-#: Chains whose first segment resolving to one of these modules marks a
-#: raw-randomness use.
-RAW_RNG_MODULES = frozenset({"random", "numpy.random"})
-
 
 def shared_stategraph(project: Project) -> StateGraph:
     """Build (and memoize on the project) the whole-program state graph."""
@@ -71,12 +55,6 @@ def shared_stategraph(project: Project) -> StateGraph:
     state = derive_stategraph(project, graph)
     project._stategraph_cache = state  # type: ignore[attr-defined]
     return state
-
-
-def _scanned_files(state: StateGraph) -> Iterable[SourceFile]:
-    for source in state.project.files:
-        if state.scanned(source):
-            yield source
 
 
 @register_rule
@@ -147,105 +125,6 @@ class NonPicklableStateRule(Rule):
                     " __getstate__/__setstate__/rebuild hook",
                     key=f"{class_state.name}.{name}",
                 )
-
-
-@register_rule
-class RngProvenanceRule(Rule):
-    """KL203: all randomness flows from the node seed via util.rng."""
-
-    ID = "KL203"
-    TITLE = "state: RNG constructed outside util.rng seed derivation"
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        state = shared_stategraph(project)
-        for source in _scanned_files(state):
-            if source.module == RNG_HOME_MODULE:
-                continue
-            exempt_lines = _injectable_default_lines(source.tree)
-            for node in ast.walk(source.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                chain = _chain_of(node.func)
-                if chain is None:
-                    continue
-                raw = self._raw_rng_chain(project, source, chain)
-                if raw is not None:
-                    yield self.finding(
-                        Severity.ERROR,
-                        source.relpath,
-                        node.lineno,
-                        f"raw randomness {raw} bypasses util.rng seed"
-                        " derivation — draws are irreproducible and"
-                        " unlabelled (paper's deterministic-replay seam)",
-                        key=raw,
-                    )
-                    continue
-                if (
-                    chain[-1] in RNG_CONSTRUCTORS
-                    and chain[-1] in {"SeededRng", "HashedStream"}
-                    and node.args
-                    and _is_numeric_literal(node.args[0])
-                    and node.lineno not in exempt_lines
-                ):
-                    yield self.finding(
-                        Severity.WARNING,
-                        source.relpath,
-                        node.lineno,
-                        f"{chain[-1]} constructed from a numeric literal —"
-                        " the stream is not derived from the node seed, so"
-                        " reseeding the experiment will not reseed it",
-                        key=chain[-1],
-                    )
-
-    @staticmethod
-    def _raw_rng_chain(
-        project: Project, source: SourceFile, chain: Tuple[str, ...]
-    ) -> Optional[str]:
-        """The dotted chain when it is a raw random/np.random call."""
-        if len(chain) < 2:
-            return None
-        head = chain[0]
-        resolved = project.resolve_module(source.module, head)
-        if resolved is None:
-            link = project.imported_names.get((source.module, head))
-            if link is not None and link[1] == "":
-                resolved = link[0]
-        module = resolved or head
-        dotted = ".".join(chain)
-        if module == "random" or dotted.startswith("random."):
-            return dotted
-        if (
-            module in {"numpy", "np"}
-            or head in {"np", "numpy"}
-        ) and len(chain) >= 3 and chain[1] == "random":
-            return dotted
-        return None
-
-
-def _is_numeric_literal(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, (int, float)) and not isinstance(
-            node.value, bool
-        )
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _is_numeric_literal(node.operand)
-    return False
-
-
-def _injectable_default_lines(tree: ast.AST) -> Set[int]:
-    """Lines of RNG calls inside the injectable-default IfExp idiom."""
-    lines: Set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.IfExp):
-            continue
-        branches = [node.body, node.orelse]
-        names = [b for b in branches if isinstance(b, ast.Name)]
-        calls = [b for b in branches if isinstance(b, ast.Call)]
-        if len(names) == 1 and len(calls) == 1:
-            for call in ast.walk(calls[0]):
-                if isinstance(call, ast.Call):
-                    lines.add(call.lineno)
-    return lines
 
 
 @register_rule

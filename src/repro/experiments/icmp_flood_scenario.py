@@ -63,20 +63,31 @@ class BuiltScenario:
     sim: Optional[Simulator] = None
 
 
-def build(
+@dataclass
+class E1World:
+    """The single-hop flood world, built but not yet observed or run."""
+
+    sim: Simulator
+    victim: NestThermostat
+    attacker: IcmpFloodAttacker
+    duration_s: float
+
+
+def build_world(
     seed: int = 7,
     symptom_instances: int = PAPER_SYMPTOM_INSTANCES,
     burst_interval: float = 5.0,
     burst_size: int = 20,
-) -> BuiltScenario:
-    """Build and record the single-hop flood scenario.
+    telemetry=None,
+) -> E1World:
+    """Build the single-hop flood topology without its observer.
 
-    ``burst_size``/``burst_interval`` shape the flood: the default is
-    the paper-style burst; small bursts at short intervals give a
-    "slow-drip" flood whose detectability depends on the detector's
-    rate window (used by the E10 ablation).
+    The caller attaches the observer last, after the attacker: a passive
+    trace recorder (:func:`build`) or a live Kalis node
+    (:func:`repro.experiments.soak_scenario.build_e1_deployment`).  Both
+    worlds therefore share one node order and one RNG derivation.
     """
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, telemetry=telemetry)
     rng = SeededRng(seed, "icmp-flood-scenario")
     lan = LanDirectory()
     wan = LanDirectory()
@@ -118,20 +129,36 @@ def build(
     )
     sim.add_node(attacker)
 
-    sniffer = SnifferNode(NodeId("observer"), (5.0, 4.0))
-    sim.add_node(sniffer)
-    recorder = TraceRecorder().attach(sniffer)
-
     duration = attacker.start_delay + symptom_instances * burst_interval + 20.0
-    sim.run(duration)
+    return E1World(sim=sim, victim=victim, attacker=attacker, duration_s=duration)
+
+
+def build(
+    seed: int = 7,
+    symptom_instances: int = PAPER_SYMPTOM_INSTANCES,
+    burst_interval: float = 5.0,
+    burst_size: int = 20,
+) -> BuiltScenario:
+    """Build and record the single-hop flood scenario.
+
+    ``burst_size``/``burst_interval`` shape the flood: the default is
+    the paper-style burst; small bursts at short intervals give a
+    "slow-drip" flood whose detectability depends on the detector's
+    rate window (used by the E10 ablation).
+    """
+    world = build_world(seed, symptom_instances, burst_interval, burst_size)
+    sniffer = SnifferNode(NodeId("observer"), (5.0, 4.0))
+    world.sim.add_node(sniffer)
+    recorder = TraceRecorder().attach(sniffer)
+    world.sim.run(world.duration_s)
 
     return BuiltScenario(
         trace=recorder.trace,
-        instances=attacker.log.instances,
-        attacker=attacker.node_id,
-        victim=victim.node_id,
-        duration_s=duration,
-        sim=sim,
+        instances=world.attacker.log.instances,
+        attacker=world.attacker.node_id,
+        victim=world.victim.node_id,
+        duration_s=world.duration_s,
+        sim=world.sim,
     )
 
 

@@ -61,13 +61,13 @@ def _open_text(path: Path, mode: str):
     return opener(path, mode, encoding="utf-8")
 
 
-def read_jsonl(path, tolerate_partial: bool = True) -> Tuple[List[Tuple[int, Dict[str, Any]]], int]:
+def read_jsonl(path) -> Tuple[List[Tuple[int, Dict[str, Any]]], int]:
     """Read a JSONL file into ``(line_number, record)`` pairs.
 
     A line that fails to parse raises :class:`ExportFormatError` —
-    unless it is the *final* line and ``tolerate_partial`` is set, in
-    which case it is counted as an in-flight partial write and skipped
-    (a writer appending NDJSON is mid-line exactly once, at the tail).
+    unless it is the *final* line, which is counted as an in-flight
+    partial write and skipped (a writer appending NDJSON is mid-line
+    exactly once, at the tail).
     Returns ``(records, partial_lines_skipped)``.
     """
     path = Path(path)
@@ -101,13 +101,7 @@ def read_jsonl(path, tolerate_partial: bool = True) -> Tuple[List[Tuple[int, Dic
         raise ExportFormatError(
             path, 0, f"truncated or corrupt stream: {error}"
         ) from error
-    if pending_error[0]:
-        if tolerate_partial:
-            return records, 1
-        raise ExportFormatError(
-            path, pending_error[0], f"malformed record: {pending_error[1]}"
-        )
-    return records, 0
+    return records, 1 if pending_error[0] else 0
 
 
 def export_lines(telemetry: Telemetry) -> Iterator[Dict[str, Any]]:
@@ -168,7 +162,7 @@ def load_export_with_stats(path) -> Tuple[List[Dict[str, Any]], int]:
     counted — so the SIEM intake can read a worker's export mid-write.
     """
     path = Path(path)
-    numbered, partial_skipped = read_jsonl(path, tolerate_partial=True)
+    numbered, partial_skipped = read_jsonl(path)
     if not numbered or numbered[0][1].get("type") != "meta":
         raise ExportFormatError(
             path, 0, "not a telemetry export (missing meta line)"

@@ -237,7 +237,7 @@ class SiemAggregator:
         """
         from repro.obs.export import read_jsonl
 
-        numbered, partials = read_jsonl(path, tolerate_partial=True)
+        numbered, partials = read_jsonl(path)
         self.stats.partial_lines_skipped += partials
         ingested = 0
         for _line_number, record in numbered:

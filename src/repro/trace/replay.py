@@ -1,17 +1,17 @@
 """Replaying stored traces into capture listeners.
 
-Three modes:
+Two modes:
 
-- **batch**: push every capture immediately, in time order — how
-  offline analysis and most tests consume traces;
-- **simulated**: schedule each capture at its original timestamp on a
-  simulator, so time-window logic (traffic statistics, rate detectors)
-  behaves exactly as it did live;
-- **streamed**: :class:`TraceStreamer` schedules the trace in bounded
-  chunks, keeping only one chunk of pending deliveries on the event
-  queue at a time — the ingestion mode of the ``kalis-repro serve``
-  daemon, sized for arbitrarily long traces and safe to checkpoint
-  mid-stream (every queued entry is a picklable record).
+- **batch**: :class:`TraceReplayer` pushes every capture immediately,
+  in time order — how offline analysis and most tests consume traces;
+- **scheduled**: :class:`TraceStreamer` schedules each capture at its
+  original timestamp on a simulator, so time-window logic (traffic
+  statistics, rate detectors) behaves exactly as it did live.  It
+  queues the trace in bounded chunks, keeping only one chunk of pending
+  deliveries on the event queue at a time — the ingestion mode of the
+  ``kalis-repro serve`` daemon, sized for arbitrarily long traces and
+  safe to checkpoint mid-stream (every queued entry is a picklable
+  record).
 
 Either way the consumer receives plain captures; ground-truth labels
 stay behind in the trace, preserving the paper's property that replay is
@@ -59,7 +59,6 @@ class TraceReplayer:
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.replayed = 0
-        self._listener: Optional[CaptureListener] = None
 
     def replay_batch(self, listener: CaptureListener) -> int:
         """Deliver every capture immediately, in time order."""
@@ -68,45 +67,15 @@ class TraceReplayer:
             self.replayed += 1
         return self.replayed
 
-    def _deliver(self, index: int) -> None:
-        self._listener(self.trace[index].capture)
-        self.replayed += 1
-
-    def replay_on(
-        self,
-        sim,
-        listener: CaptureListener,
-        time_offset: Optional[float] = None,
-    ) -> int:
-        """Schedule each capture on a simulator at its original time.
-
-        :param time_offset: shift applied to every timestamp; defaults
-            to aligning the first capture with the simulator's current
-            time.
-        """
-        if len(self.trace) == 0:
-            return 0
-        if time_offset is None:
-            time_offset = sim.clock.now - self.trace[0].timestamp
-        self._listener = listener
-        scheduled = 0
-        for index, record in enumerate(self.trace):
-            sim.schedule_at(
-                record.timestamp + time_offset, _ScheduledCapture(self, index)
-            )
-            scheduled += 1
-        return scheduled
-
 
 class TraceStreamer:
     """Incremental trace ingestion: bounded chunks of scheduled captures.
 
-    Unlike :meth:`TraceReplayer.replay_on`, which loads the entire trace
-    onto the event queue up front, a streamer schedules at most
-    ``chunk_size`` deliveries ahead and re-arms itself from the queue —
-    so the daemon can serve traces of any length at O(chunk) queue
-    depth, and a checkpoint taken mid-stream carries exactly the
-    streamer's position (``next_index``) plus the in-flight chunk.
+    A streamer schedules at most ``chunk_size`` deliveries ahead and
+    re-arms itself from the queue — so the daemon can serve traces of
+    any length at O(chunk) queue depth, and a checkpoint taken
+    mid-stream carries exactly the streamer's position (``next_index``)
+    plus the in-flight chunk.
     """
 
     def __init__(

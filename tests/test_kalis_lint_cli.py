@@ -37,7 +37,7 @@ class TestFlags:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("KL001", "KL002", "KL004", "KL006"):
+        for rule_id in ("KL001", "KL002", "KL004", "KL006", "KL203"):
             assert rule_id in out
         # Label and topic flow are whole-program only (KL101–KL103).
         for retired in ("KL003", "KL005"):
@@ -89,6 +89,14 @@ class TestFlags:
         assert finding["path"] == "src/repro/sim/engine.py"
         assert finding["severity"] == "error"
         assert finding["line"] > 0
+
+    def test_baseline_subcommand_is_usage_error(self, tmp_path, capsys):
+        # A full run reports stale entries (KL099); there is no audit mode.
+        tree = write_tree(tmp_path, _DIRTY_TREE)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["baseline", "--audit", "--root", str(tmp_path), str(tree)])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -192,6 +200,8 @@ class TestBaselineWorkflow:
         assert code == 1
         assert "KL099" in out
         assert "stale baseline entry" in out
+        # Reporting never rewrites the file.
+        assert "fixed long ago" in baseline.read_text(encoding="utf-8")
 
     def test_stale_entry_ignored_when_file_not_scanned(self, tmp_path, capsys):
         tree = write_tree(
@@ -278,62 +288,36 @@ class TestBaselineWorkflow:
             ["--root", str(tmp_path), "--baseline", str(baseline), str(tree)]
         )
         assert code == 0
+
+        # Entries this run cannot judge survive a re-write: one for a
+        # path outside the scanned tree, one for a rule not selected.
+        unjudged = (
+            "KL102 src/repro/core/elsewhere.py Ghost -- not scanned here\n"
+            "KL201 src/repro/sim/engine.py _CACHE -- rule not selected\n"
+        )
+        baseline.write_text(
+            baseline.read_text(encoding="utf-8") + unjudged, encoding="utf-8"
+        )
+        code = main(
+            [
+                "--root",
+                str(tmp_path),
+                "--baseline",
+                str(baseline),
+                "--select",
+                "KL001",
+                "--write-baseline",
+                str(tree / "sim"),
+            ]
+        )
+        assert code == 0
+        content = baseline.read_text(encoding="utf-8")
+        assert "Ghost -- not scanned here" in content
+        assert "_CACHE -- rule not selected" in content
+        assert "time.time -- justified for reasons" in content
         capsys.readouterr()
 
-
-class TestBaselineAudit:
-    def test_audit_reports_live_baseline(self, tmp_path, capsys):
-        tree = write_tree(tmp_path, _DIRTY_TREE)
-        baseline = tmp_path / "kalis-lint.baseline"
-        baseline.write_text(
-            "KL001 src/repro/sim/engine.py time.time -- legacy wall-clock,"
-            " scheduled for removal\n",
-            encoding="utf-8",
-        )
-        code = main(
-            [
-                "baseline",
-                "--audit",
-                "--no-cache",
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(baseline),
-                str(tree),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "baseline is live" in out
-
-    def test_audit_flags_stale_entry(self, tmp_path, capsys):
-        tree = write_tree(
-            tmp_path, {"repro/sim/engine.py": '"""Clean module."""\n'}
-        )
-        baseline = tmp_path / "kalis-lint.baseline"
-        baseline.write_text(
-            "KL001 src/repro/sim/engine.py time.time -- fixed long ago\n",
-            encoding="utf-8",
-        )
-        code = main(
-            [
-                "baseline",
-                "--audit",
-                "--no-cache",
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(baseline),
-                str(tree),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "stale KL001 entry" in out
-        # Audit alone never rewrites the file.
-        assert "fixed long ago" in baseline.read_text(encoding="utf-8")
-
-    def test_prune_drops_only_stale_entries(self, tmp_path, capsys):
+    def test_write_baseline_drops_stale_entries(self, tmp_path, capsys):
         tree = write_tree(tmp_path, _DIRTY_TREE)
         baseline = tmp_path / "kalis-lint.baseline"
         baseline.write_text(
@@ -343,71 +327,16 @@ class TestBaselineAudit:
         )
         code = main(
             [
-                "baseline",
-                "--audit",
-                "--prune",
-                "--no-cache",
                 "--root",
                 str(tmp_path),
                 "--baseline",
                 str(baseline),
+                "--write-baseline",
                 str(tree),
             ]
         )
-        out = capsys.readouterr().out
         assert code == 0
-        assert "pruned 1 stale entry" in out
         text = baseline.read_text(encoding="utf-8")
-        assert "time.time" in text
+        assert "time.time -- legacy wall-clock" in text
         assert "time.monotonic" not in text
-
-    def test_entries_outside_scanned_paths_survive_prune(self, tmp_path, capsys):
-        tree = write_tree(
-            tmp_path,
-            {
-                "repro/sim/engine.py": '"""Clean module."""\n',
-                "repro/core/other.py": '"""Also clean."""\n',
-            },
-        )
-        baseline = tmp_path / "kalis-lint.baseline"
-        baseline.write_text(
-            "KL001 src/repro/sim/engine.py time.time -- not judged here\n",
-            encoding="utf-8",
-        )
-        code = main(
-            [
-                "baseline",
-                "--audit",
-                "--prune",
-                "--no-cache",
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(baseline),
-                str(tree / "core"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "outside the scanned paths" in out
-        assert "time.time" in baseline.read_text(encoding="utf-8")
-
-    def test_real_tree_baseline_is_live(self, capsys):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        code = main(
-            [
-                "baseline",
-                "--audit",
-                "--no-cache",
-                "--root",
-                str(root),
-                "--baseline",
-                str(root / "kalis-lint.baseline"),
-                str(root / "src" / "repro"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "baseline is live" in out
+        capsys.readouterr()

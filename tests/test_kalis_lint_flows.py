@@ -358,7 +358,7 @@ class TestKL105DeterminismTaint:
         findings = run(
             tmp_path,
             {
-                "repro/core/decider.py": """
+                "repro/experiments/decider.py": """
                 import time
 
                 def decide(threshold):
@@ -376,28 +376,31 @@ class TestKL105DeterminismTaint:
         assert "branch condition" in findings[0].message
 
     def test_taint_into_bus_publish(self, tmp_path):
+        # The random-nonce twin of this fixture is KL203's
+        # (test_raw_random_reaching_a_sink_is_kl203_only).
         findings = run(
             tmp_path,
             {
-                "repro/core/teller.py": """
-                import random
+                "repro/eventbus/teller.py": """
+                import uuid
 
                 class Teller:
                     def go(self):
-                        nonce = random.random()
+                        nonce = uuid.uuid4()
                         self.bus.publish("alert", nonce)
                 """,
             },
             "KL105",
         )
         assert len(findings) == 1
-        assert "random.random" in findings[0].message
+        assert "uuid.uuid4" in findings[0].message
+        assert "bus publish" in findings[0].message
 
     def test_taint_into_alert_payload_and_kb_write(self, tmp_path):
         findings = run(
             tmp_path,
             {
-                "repro/core/alarmist.py": """
+                "repro/firewall/alarmist.py": """
                 import os
 
                 class Alarmist:
@@ -418,7 +421,7 @@ class TestKL105DeterminismTaint:
         findings = run(
             tmp_path,
             {
-                "repro/core/orderer.py": """
+                "repro/experiments/orderer.py": """
                 def pick(a, b):
                     if id(a) < id(b):
                         return a
@@ -427,14 +430,36 @@ class TestKL105DeterminismTaint:
             },
             "KL105",
         )
-        assert len(findings) == 1
-        assert "id()" in findings[0].message
+        assert [f.key for f in findings] == ["pick:id:a_branch_condition"]
+
+    def test_aliased_clock_imports_flagged(self, tmp_path):
+        findings = run(
+            tmp_path,
+            {
+                "repro/experiments/pacer.py": """
+                import time as t
+                from time import perf_counter
+
+                def pace(budget, bus):
+                    if perf_counter() > budget:
+                        return True
+                    started = t.time()
+                    bus.publish("pace", started)
+                    return False
+                """,
+            },
+            "KL105",
+        )
+        assert [f.key for f in findings] == [
+            "pace:time.perf_counter:a_branch_condition",
+            "pace:time.time:a_bus_publish",
+        ]
 
     def test_clean_twin_passes(self, tmp_path):
         findings = run(
             tmp_path,
             {
-                "repro/core/decider.py": """
+                "repro/experiments/decider.py": """
                 def decide(clock, threshold):
                     now = clock.now()
                     if now > threshold:
@@ -463,21 +488,23 @@ class TestKL105DeterminismTaint:
         assert findings == []
 
     def test_unguarded_package_not_scanned(self, tmp_path):
-        findings = run(
-            tmp_path,
-            {
-                "repro/tools/bench.py": """
-                import time
+        # repro.core is KL001's; KL105 does not rescan it.
+        for package in ("tools", "core"):
+            findings = run(
+                tmp_path / package,
+                {
+                    f"repro/{package}/bench.py": """
+                    import time
 
-                def loop(bus):
-                    t = time.time()
-                    if t > 0:
-                        bus.publish("x", t)
-                """,
-            },
-            "KL105",
-        )
-        assert findings == []
+                    def loop(bus):
+                        t = time.time()
+                        if t > 0:
+                            bus.publish("x", t)
+                    """,
+                },
+                "KL105",
+            )
+            assert findings == []
 
 
 class TestKnowFlowGraph:

@@ -24,6 +24,9 @@ def run(tmp_path, files, *rules):
     return run_rules(make_project(tmp_path, files), select=list(rules))
 
 
+_DETERMINISM_RULES = ("KL001", "KL105", "KL203")
+
+
 class TestDeterminismRule:
     def test_banned_time_call_in_sim(self, tmp_path):
         findings = run(
@@ -36,13 +39,14 @@ class TestDeterminismRule:
                     return time.time()
                 """
             },
-            "KL001",
+            *_DETERMINISM_RULES,
         )
-        assert [f.key for f in findings] == ["time.time"]
+        assert [(f.rule, f.key) for f in findings] == [("KL001", "time.time")]
         assert findings[0].path == "src/repro/sim/engine.py"
         assert findings[0].line == 5
 
     def test_random_import_and_from_time_import(self, tmp_path):
+        # Import-only bindings are flagged; randomness belongs to KL203.
         findings = run(
             tmp_path,
             {
@@ -51,11 +55,11 @@ class TestDeterminismRule:
                 from time import monotonic
                 """
             },
-            "KL001",
+            *_DETERMINISM_RULES,
         )
-        assert {f.key for f in findings} == {
-            "import.random",
-            "import.time.monotonic",
+        assert {(f.rule, f.key) for f in findings} == {
+            ("KL203", "import.random"),
+            ("KL001", "import.time.monotonic"),
         }
 
     def test_datetime_class_and_numpy_random(self, tmp_path):
@@ -70,12 +74,58 @@ class TestDeterminismRule:
                     return datetime.now(), np.random.random()
                 """
             },
-            "KL001",
+            *_DETERMINISM_RULES,
         )
-        assert {f.key for f in findings} == {
-            "datetime.datetime.now",
-            "numpy.random",
+        assert {(f.rule, f.key) for f in findings} == {
+            ("KL001", "datetime.datetime.now"),
+            ("KL203", "numpy.random.random"),
         }
+
+    def test_identity_and_entropy_in_core(self, tmp_path):
+        # KL001 owns identity and entropy use in core; KL105 does not
+        # rescan it.
+        findings = run(
+            tmp_path,
+            {
+                "repro/core/orderer.py": """
+                import os
+
+                def pick(a, b):
+                    if id(a) < id(b):
+                        return os.urandom(8)
+                    return b
+                """
+            },
+            *_DETERMINISM_RULES,
+        )
+        assert [(f.rule, f.key, f.line) for f in findings] == [
+            ("KL001", "id", 5),
+            ("KL001", "id", 5),
+            ("KL001", "os.urandom", 6),
+        ]
+
+    def test_every_import_form_resolves(self, tmp_path):
+        findings = run(
+            tmp_path,
+            {
+                "repro/proto/stamp.py": """
+                import datetime as dt
+                import time as t
+                from time import perf_counter as pc
+                from uuid import uuid4
+
+                def stamp():
+                    return t.monotonic(), pc(), dt.date.today(), uuid4()
+                """
+            },
+            *_DETERMINISM_RULES,
+        )
+        assert sorted((f.rule, f.key) for f in findings) == [
+            ("KL001", "datetime.date.today"),
+            ("KL001", "time.monotonic"),
+            ("KL001", "time.perf_counter"),
+            ("KL001", "uuid.uuid4"),
+        ]
 
     def test_util_and_unguarded_packages_exempt(self, tmp_path):
         findings = run(

@@ -194,8 +194,47 @@ class TestKL203RngProvenance:
                 return np.random.random()
             """,
         }
+        # One defect, one finding: KL001 leaves randomness to KL203.
+        findings = run_rules(
+            make_project(tmp_path, files), select=["KL001", "KL105", "KL203"]
+        )
+        assert [(f.rule, f.key) for f in findings] == [
+            ("KL203", "numpy.random.random")
+        ]
+
+    def test_from_imported_randomness_flagged(self, tmp_path):
+        files = {
+            "repro/fleet/picker.py": """
+            from random import choice
+            from numpy import random as npr
+
+            def pick(options):
+                return choice(options), npr.rand()
+            """,
+        }
         findings = run(tmp_path, files, "KL203")
-        assert [f.key for f in findings] == ["np.random.random"]
+        assert [(f.key, f.line) for f in findings] == [
+            ("numpy.random.rand", 6),
+            ("random.choice", 6),
+        ]
+
+    def test_raw_random_reaching_a_sink_is_kl203_only(self, tmp_path):
+        # KL001 and KL105 leave randomness to KL203: one finding.
+        files = {
+            "repro/core/teller.py": """
+            import random
+
+            class Teller:
+                def go(self):
+                    nonce = random.random()
+                    self.bus.publish("alert", nonce)
+            """,
+        }
+        project = make_project(tmp_path, files)
+        findings = run_rules(project, select=["KL001", "KL105", "KL203"])
+        assert [(f.rule, f.key, f.line) for f in findings] == [
+            ("KL203", "random.random", 6)
+        ]
 
 
 class TestKL204StaleCache:

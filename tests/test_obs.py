@@ -367,11 +367,9 @@ class TestReport:
     def test_read_jsonl_strict_mode_raises_on_tail(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"a":1}\n{"b"')
-        records, skipped = read_jsonl(path, tolerate_partial=True)
+        records, skipped = read_jsonl(path)
         assert [record for _, record in records] == [{"a": 1}]
         assert skipped == 1
-        with pytest.raises(ExportFormatError, match=r"t\.jsonl:2"):
-            read_jsonl(path, tolerate_partial=False)
 
 
 class TestExportStrictMode:

@@ -11,7 +11,7 @@ from repro.net.packets.ip import IpPacket
 from repro.net.packets.wifi import WifiFrame
 from repro.sim.capture import Capture
 from repro.trace.record import TraceRecord
-from repro.trace.replay import TraceReplayer
+from repro.trace.replay import TraceReplayer, TraceStreamer
 from repro.trace.trace import Trace
 from repro.util.ids import NodeId
 
@@ -148,15 +148,17 @@ class TestReplay:
         trace = Trace([TraceRecord(capture_at(2.0)), TraceRecord(capture_at(4.0))])
         sim = Simulator()
         arrivals = []
-        replayer = TraceReplayer(trace)
-        replayer.replay_on(sim, lambda c: arrivals.append(sim.clock.now))
+        streamer = TraceStreamer(
+            trace, lambda c: arrivals.append(sim.clock.now), chunk_size=1
+        )
+        assert streamer.start(sim) == 2
         sim.run_until(10.0)
         assert arrivals == [0.0, 2.0]  # offset aligns first capture to now
 
     def test_empty_trace_replay(self):
         from repro.sim.engine import Simulator
 
-        assert TraceReplayer(Trace()).replay_on(Simulator(), lambda c: None) == 0
+        assert TraceStreamer(Trace(), lambda c: None).start(Simulator()) == 0
 
 
 @settings(max_examples=30)
