@@ -60,7 +60,8 @@ class FlowSite:
     #: Wrapper qualname when the site was derived through one
     #: (``ModuleSupervisor._publish``), None for direct primitives.
     derived_from: Optional[str] = None
-    #: kb reads only: does the call carry a ``default=`` fallback?
+    #: kb reads only: does the call carry a ``default=`` fallback (or,
+    #: for a Requirement, ``when_absent=True``)?
     has_default: bool = False
 
     def render(self) -> str:
@@ -157,7 +158,16 @@ def _classify_site(
         if label_node is None:
             return
         pattern = _pattern_at(project, graph, site, label_node)
-        flow.reads.append(_site(site, pattern, "requirement"))
+        when_absent = call_arg(site.node, 4, "when_absent")
+        flow.reads.append(
+            _site(
+                site,
+                pattern,
+                "requirement",
+                has_default=isinstance(when_absent, ast.Constant)
+                and when_absent.value is True,
+            )
+        )
         kind, value = pattern
         if kind == "exact" and value is not None and site.owner_class:
             flow.requirement_labels.setdefault(site.owner_class, set()).add(

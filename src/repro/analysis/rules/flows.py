@@ -8,6 +8,8 @@ resolved before liveness is judged.
 
 - **KL101** — knowgget read-before-any-write: a ``Requirement`` label or
   a defaultless ``kb.get``/``get_knowgget`` read that no code ever puts.
+  A ``Requirement(…, when_absent=True)`` tolerates absence like a
+  ``default=`` read does.
   The module can never activate (paper §IV-B4): "no alerts" and "module
   never activated" look identical at runtime, so this must be static.
   Config-driven ``put_static`` injection is an operator override, not a
@@ -90,8 +92,8 @@ class KnowggetLivenessRule(Rule):
             kind, label = site.pattern
             if kind != "exact" or label is None:
                 continue
-            strict = site.via == "requirement" or (
-                site.via in _STRICT_READS and not site.has_default
+            strict = not site.has_default and (
+                site.via == "requirement" or site.via in _STRICT_READS
             )
             if not strict or flow.written(label):
                 continue

@@ -14,8 +14,9 @@ mismatch, or a schema-version skew each raise a distinct
 
 Writes are atomic: the bytes go to a uniquely-named temp file in the
 target directory, are fsynced, then :func:`os.replace`-d over the final
-name — a crash mid-write leaves at worst a stray ``.tmp`` file and the
-previous snapshot intact.  :class:`SnapshotStore` builds a bounded
+name, and the directory is fsynced so the rename itself is durable — a
+crash mid-write leaves at worst a stray ``.tmp`` file and the previous
+snapshot intact.  :class:`SnapshotStore` builds a bounded
 rotation on top, and its :meth:`SnapshotStore.latest` walks newest to
 oldest, *skipping* corrupt or version-skewed files (fail-soft): a
 damaged latest snapshot costs one checkpoint interval, never the run.
@@ -87,10 +88,20 @@ def write_snapshot(
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
+        _fsync_directory(path.parent)
     finally:
         if temp.exists():
             temp.unlink()
     return path
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename in ``directory`` durable (POSIX: fsync the directory)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_header(path) -> Dict[str, Any]:
@@ -223,8 +234,8 @@ class SnapshotStore:
             try:
                 path.unlink()
                 removed += 1
-            except OSError:
-                pass
+            except FileNotFoundError:
+                pass  # vanished since paths() listed it
         return removed
 
     def latest(self) -> Optional[Tuple[Dict[str, Any], bytes]]:

@@ -4,9 +4,22 @@
 depending on changes in the Knowledge Base, routing new packet events to
 all the interested parties, and collecting alerts about detected
 incidents" (§IV-B4).  Activation is publish-subscribe: the manager
-subscribes to all knowledge changes and re-evaluates each module's
-declarative requirements whenever the Knowledge Base moves (§V,
-"Dynamic Detection Module Configuration").
+subscribes to all knowledge changes and re-evaluates module
+requirements whenever the Knowledge Base moves (§V, "Dynamic Detection
+Module Configuration").
+
+**Incremental activation.**  :meth:`ModuleManager.register` indexes
+each knowledge-driven module under the knowledge topics its
+``REQUIREMENTS`` read, and a change re-checks only that topic's
+dependents, in registration order.  This is sound because
+:meth:`Requirement.satisfied` reads nothing but the local, entity-less
+key ``<owner>$label``: remote writes, entity-scoped writes and labels no
+requirement names cannot change a declarative module's answer.  A
+module that overrides ``required()`` may read anything, so it is
+re-checked on every change.  Sensing and forced-active modules are
+never re-checked — their state cannot change.  Knowledge written by an
+activation hook during a re-check queues its own dependents for a
+further round, so the handler returns only at a fixed point.
 
 The manager is also where the **traditional-IDS baseline** lives: with
 ``knowledge_driven=False`` every registered module is active at all
@@ -37,10 +50,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.datastore import DataStore
-from repro.core.knowledge import KnowledgeBase
+from repro.core.knowledge import KNOWLEDGE_TOPIC_PREFIX, KnowledgeBase
 from repro.core.modules.base import KalisModule, ModuleContext, SensingModule
 from repro.eventbus.bus import EventBus
 from repro.sim.capture import Capture
@@ -302,7 +315,15 @@ class ModuleManager:
         self.work_units = 0.0
         self.activation_events = 0
         self.deactivation_events = 0
-        self._reevaluating = False
+        #: Topic prefix of local, entity-less keys: ``<owner>$<label>``.
+        self._local_topic = f"{KNOWLEDGE_TOPIC_PREFIX}{kb.owner.value}$"
+        #: knowledge topic -> registration indexes of the modules whose
+        #: requirements read it.
+        self._dependents: Dict[str, List[int]] = {}
+        #: registration indexes of modules that override ``required()``.
+        self._recheck_always: List[int] = []
+        #: modules queued for the next re-check round (None when idle).
+        self._pending: Optional[Set[int]] = None
         kb.subscribe_all(self._on_knowledge_change)
 
     # -- registration -----------------------------------------------------------
@@ -325,6 +346,17 @@ class ModuleManager:
         self.supervisor.track(module.NAME)
         if force_active:
             self._forced_active.add(module.NAME)
+        if self.knowledge_driven and not (
+            force_active or isinstance(module, SensingModule)
+        ):
+            # Index the knowledge changes that can flip the module's state.
+            position = len(self._order) - 1
+            if type(module).required is KalisModule.required:
+                for requirement in module.REQUIREMENTS:
+                    topic = self._local_topic + requirement.label
+                    self._dependents.setdefault(topic, []).append(position)
+            else:
+                self._recheck_always.append(position)
         self._apply_state(module)
         return module
 
@@ -371,19 +403,33 @@ class ModuleManager:
             module.on_deactivate()
             self.deactivation_events += 1
 
-    def reevaluate(self) -> None:
-        """Re-derive every module's activation from current knowledge."""
-        if self._reevaluating:
-            return  # activation hooks may write knowggets; don't recurse
-        self._reevaluating = True
-        try:
-            for module in self.modules():
-                self._apply_state(module)
-        finally:
-            self._reevaluating = False
+    def reevaluate(self, stale: Iterable[int]) -> None:
+        """Re-derive the activation of the modules at ``stale`` positions.
+
+        Modules are re-checked in registration order.  Knowledge that an
+        activation hook writes meanwhile queues its dependents, which
+        are re-checked in a further round before this returns.
+        """
+        batch = set(stale)
+        while batch:
+            self._pending = set()
+            try:
+                for position in sorted(batch):
+                    self._apply_state(self._modules[self._order[position]])
+            finally:
+                batch, self._pending = self._pending, None
 
     def _on_knowledge_change(self, event) -> None:
-        self.reevaluate()
+        # The topic, not the payload, names the key: ``remove`` publishes None.
+        stale = self._dependents.get(event.topic, ())
+        if self._recheck_always:
+            stale = [*stale, *self._recheck_always]
+        if not stale:
+            return
+        if self._pending is not None:
+            self._pending.update(stale)
+        else:
+            self.reevaluate(stale)
 
     # -- capture routing --------------------------------------------------------------
 

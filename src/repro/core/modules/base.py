@@ -13,7 +13,8 @@ evaluates them.  Declarative requirements buy two things:
 An *unknown* knowgget (never written) leaves a requirement unsatisfied,
 so detection modules stay dormant until sensing modules have actually
 established the relevant feature — the behaviour the paper's reactivity
-experiment (§VI-C) relies on.
+experiment (§VI-C) relies on.  A requirement on an a-priori feature may
+opt out with ``when_absent=True``.
 """
 
 from __future__ import annotations
@@ -41,18 +42,23 @@ class Requirement:
     :param equals: required value, or :data:`EXISTS` for presence-only.
     :param expect: type to parse the stored value as.
     :param negate: invert the predicate (``label != equals``); an absent
-        knowgget still fails, preserving activate-only-on-knowledge.
+        knowgget still fails unless ``when_absent`` says otherwise.
+    :param when_absent: the result when the knowgget is absent.  The
+        default (False) keeps modules dormant until knowledge exists;
+        True suits a-priori features such as prevention techniques,
+        whose absence means "not deployed".
     """
 
     label: str
     equals: Any = EXISTS
     expect: type = bool
     negate: bool = False
+    when_absent: bool = False
 
     def satisfied(self, kb: KnowledgeBase) -> bool:
         knowgget = kb.get_knowgget(self.label)
         if knowgget is None:
-            return False
+            return self.when_absent
         if self.equals is EXISTS:
             return not self.negate
         try:
@@ -64,9 +70,11 @@ class Requirement:
 
     def describe(self) -> str:
         if self.equals is EXISTS:
-            return f"{self.label} exists"
-        operator = "!=" if self.negate else "=="
-        return f"{self.label} {operator} {self.equals!r}"
+            text = f"{self.label} exists"
+        else:
+            operator = "!=" if self.negate else "=="
+            text = f"{self.label} {operator} {self.equals!r}"
+        return f"{text} (or absent)" if self.when_absent else text
 
 
 class ModuleContext:

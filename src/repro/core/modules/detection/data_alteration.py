@@ -5,8 +5,8 @@ cryptographic integrity protection — the paper's Figure 3 includes
 "prevention techniques" as a feature: "cryptographic techniques
 deployed on some of the monitored devices make the latter immune to
 attacks such as data alteration" (§III-B2).  A static knowgget
-``IntegrityProtection = true`` therefore keeps this module dormant,
-which :meth:`required` implements beyond the declarative requirements.
+``IntegrityProtection = true`` therefore keeps this module dormant; an
+absent one means no protection is deployed.
 
 Technique: an extension of the watchdog — a forwarder must retransmit
 *what it received*.  When F emits a forwarded data frame (``thl >= 1``,
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.knowledge import KnowledgeBase
 from repro.core.modules.base import DetectionModule, Requirement
 from repro.core.modules.common import EwmaTracker, SlidingWindowCounter
 from repro.core.modules.registry import register_module
@@ -43,7 +42,14 @@ class DataAlterationModule(DetectionModule):
     """
 
     NAME = "DataAlterationModule"
-    REQUIREMENTS = (Requirement(label="Multihop.802154", equals=True),)
+    REQUIREMENTS = (
+        Requirement(label="Multihop.802154", equals=True),
+        # The prevention-technique feature: integrity-protected traffic
+        # cannot be usefully altered, so the module is not needed.
+        Requirement(
+            label="IntegrityProtection", equals=True, negate=True, when_absent=True
+        ),
+    )
     DETECTS = ("data_alteration",)
     COST_WEIGHT = 1.5
 
@@ -61,13 +67,6 @@ class DataAlterationModule(DetectionModule):
         self._heard_rssi = EwmaTracker(alpha=0.3)
         self._last_heard: Dict[NodeId, float] = {}
         self._last_alert_at: Dict[NodeId, float] = {}
-
-    def required(self, kb: KnowledgeBase) -> bool:
-        if not super().required(kb):
-            return False
-        # The prevention-technique feature: integrity-protected traffic
-        # cannot be usefully altered, so the module is not needed.
-        return not kb.get("IntegrityProtection", bool, default=False)
 
     def on_deactivate(self) -> None:
         self._ingress = SlidingWindowCounter(self.ingress_window)

@@ -1,10 +1,12 @@
 """Snapshot file format: integrity, versioning, atomicity, rotation."""
 
 import json
+import stat
 import struct
 
 import pytest
 
+from repro.ckpt import format as ckpt_format
 from repro.ckpt.format import (
     MAGIC,
     SCHEMA_VERSION,
@@ -160,6 +162,41 @@ class TestAtomicity:
         assert header["label"] == "good"
         assert payload == PAYLOAD
 
+    def test_rename_is_made_durable_by_a_directory_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        """POSIX: the rename survives a crash only once the dir is synced."""
+        events = []
+        real_fsync, real_replace = ckpt_format.os.fsync, ckpt_format.os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(ckpt_format.os.fstat(fd).st_mode)
+            events.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(ckpt_format.os, "fsync", fsync)
+        monkeypatch.setattr(ckpt_format.os, "replace", replace)
+        write_snapshot(tmp_path / "one.ksnap", PAYLOAD)
+        assert events == ["fsync-file", "replace", "fsync-dir"]
+
+    def test_failed_directory_fsync_surfaces(self, tmp_path, monkeypatch):
+        real_fsync = ckpt_format.os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(ckpt_format.os.fstat(fd).st_mode):
+                raise OSError(5, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(ckpt_format.os, "fsync", fsync)
+        with pytest.raises(OSError):
+            write_snapshot(tmp_path / "one.ksnap", PAYLOAD)
+        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+        assert leftovers == []
+
 
 class TestSnapshotStore:
     def test_save_assigns_increasing_sequences(self, tmp_path):
@@ -217,6 +254,30 @@ class TestSnapshotStore:
         store.save(b"real")
         assert len(store.paths()) == 1
         assert store.latest()[1] == b"real"
+
+    def test_prune_tolerates_a_file_already_gone(self, tmp_path, monkeypatch):
+        """A snapshot that vanishes between listing and unlink is skipped."""
+        store = SnapshotStore(tmp_path, keep=2)
+        first = store.save(b"a")
+        store.save(b"b")
+        listed = store.paths()
+        first.unlink()
+        monkeypatch.setattr(store, "paths", lambda: listed)
+        store.keep = 1
+        assert store.prune() == 0
+
+    def test_prune_surfaces_other_unlink_errors(self, tmp_path, monkeypatch):
+        store = SnapshotStore(tmp_path, keep=3)
+        for index in range(3):
+            store.save(str(index).encode())
+
+        def unlink(self, missing_ok=False):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(ckpt_format.Path, "unlink", unlink)
+        store.keep = 1
+        with pytest.raises(PermissionError):
+            store.prune()
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ data alteration, sinkhole, wormhole."""
 
 from repro.core.datastore import DataStore
 from repro.core.knowledge import KnowledgeBase
+from repro.core.manager import ModuleManager
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.detection.data_alteration import DataAlterationModule
 from repro.core.modules.detection.forwarding import ForwardingMisbehaviorModule
@@ -202,6 +203,20 @@ class TestDataAlteration:
         assert module.required(kb)
         kb.put("IntegrityProtection", True)
         assert not module.required(kb)
+
+    def test_malformed_integrity_protection_keeps_module_dormant(self):
+        """A garbled value fails the requirement; it is not a module crash."""
+        bus = EventBus()
+        kb = KnowledgeBase(KALIS, bus)
+        manager = ModuleManager(
+            kb=kb, datastore=DataStore(window_size=10), bus=bus, node_id=KALIS
+        )
+        module = manager.register(DataAlterationModule())
+        kb.put("Multihop.802154", True)
+        assert module.active
+        kb.put("IntegrityProtection", "maybe")
+        assert not module.active
+        assert manager.supervisor.health(module.NAME).total_failures == 0
 
 
 class TestSinkhole:

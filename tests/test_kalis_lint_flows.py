@@ -105,6 +105,22 @@ class TestKL101KnowggetLiveness:
         )
         assert findings == []
 
+    def test_absent_tolerant_requirement_is_tolerant(self, tmp_path):
+        """``when_absent=True`` reads like a ``default=`` read."""
+        tolerant = {
+            "repro/core/modules/detection/ghost.py": """
+            from repro.core.modules.base import Requirement
+
+            class GhostModule:
+                REQUIREMENTS = (
+                    Requirement(label="NeverWritten", when_absent=True),
+                    Requirement("AlsoNever", True, bool, True, False),
+                )
+            """,
+        }
+        findings = run(tmp_path, tolerant, "KL101")
+        assert [f.key for f in findings] == ["AlsoNever"]
+
     def test_dynamic_put_silences_rule(self, tmp_path):
         """An unanalyzable ``put`` could write anything — stay quiet."""
         files = dict(self.VIOLATION)

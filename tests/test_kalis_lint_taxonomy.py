@@ -34,8 +34,8 @@ ALL_MODULES = sorted({m for ms in MODULES_FOR_ATTACK.values() for m in ms})
 
 #: A-priori static knowggets: supplied by deployment config via
 #: ``kb.put_static`` (paper §IV-B3), never written by a sensing module.
-#: ``DataAlterationModule.required()`` reads it, which is why the KL104
-#: entry for that module in ``kalis-lint.baseline`` is justified.
+#: ``DataAlterationModule`` declares it as a negated ``when_absent=True``
+#: Requirement: an absent knowgget means no protection is deployed.
 A_PRIORI_LABELS = frozenset({"IntegrityProtection"})
 
 

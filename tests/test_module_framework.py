@@ -54,6 +54,20 @@ class TestRequirement:
         kb.put("Mobility", True)
         assert not requirement.satisfied(kb)
 
+    def test_when_absent_decides_an_absent_knowgget(self):
+        kb = make_kb()
+        requirement = Requirement(
+            label="IntegrityProtection", equals=True, negate=True, when_absent=True
+        )
+        assert requirement.satisfied(kb)
+        kb.put("IntegrityProtection", False)
+        assert requirement.satisfied(kb)
+        kb.put("IntegrityProtection", True)
+        assert not requirement.satisfied(kb)
+        kb.put("IntegrityProtection", "garbled")
+        assert not requirement.satisfied(kb)
+        assert "(or absent)" in requirement.describe()
+
     def test_unparseable_value_fails(self):
         kb = make_kb()
         kb.put("Count", "not-a-number")
