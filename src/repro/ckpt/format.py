@@ -12,11 +12,12 @@ unparsable or truncated header, a payload length mismatch, a digest
 mismatch, or a schema-version skew each raise a distinct
 :class:`SnapshotError` subclass and never partially deserialize.
 
-Writes are atomic: the bytes go to a uniquely-named temp file in the
-target directory, are fsynced, then :func:`os.replace`-d over the final
-name, and the directory is fsynced so the rename itself is durable — a
-crash mid-write leaves at worst a stray ``.tmp`` file and the previous
-snapshot intact.  :class:`SnapshotStore` builds a bounded
+Writes are atomic (:func:`atomic_write`, shared with the fleet shard
+manifest): the bytes go to a uniquely-named temp file in the target
+directory, are fsynced, then :func:`os.replace`-d over the final name,
+and the directory is fsynced so the rename itself is durable — a crash
+mid-write leaves at worst a stray ``.tmp`` file and the previous file
+intact.  :class:`SnapshotStore` builds a bounded
 rotation on top, and its :meth:`SnapshotStore.latest` walks newest to
 oldest, *skipping* corrupt or version-skewed files (fail-soft): a
 damaged latest snapshot costs one checkpoint interval, never the run.
@@ -29,7 +30,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: File magic: identifies a Kalis snapshot regardless of version.
 MAGIC = b"KALISNAP"
@@ -77,14 +78,26 @@ def write_snapshot(
     header_bytes = json.dumps(
         header, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
+    return atomic_write(
+        path, (MAGIC, _LENGTH.pack(len(header_bytes)), header_bytes, payload)
+    )
+
+
+def atomic_write(path, chunks: Iterable[bytes]) -> Path:
+    """Durably replace ``path`` with the concatenated ``chunks``.
+
+    Write a temp file beside it, fsync it, :func:`os.replace` it over
+    ``path`` and fsync the directory.  A crash at any point leaves the
+    old file or the new one, never a torn mix; the temp file is removed
+    on failure.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(temp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(_LENGTH.pack(len(header_bytes)))
-            handle.write(header_bytes)
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)

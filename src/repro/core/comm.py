@@ -54,11 +54,24 @@ class CommunicationSystem:
         self.intake_errors: List[Tuple[str, BaseException]] = []
         self._telemetry = None
         self._telemetry_node: Optional[str] = None
+        #: medium -> ``captures_total`` counter bound into the sink.
+        self._medium_counters: Dict[Medium, object] = {}
 
     def bind_telemetry(self, telemetry, node: Optional[str] = None) -> None:
         """Attach a :class:`repro.obs.Telemetry` for intake metrics."""
         self._telemetry = telemetry
         self._telemetry_node = node
+        self._medium_counters.clear()
+
+    def rebuild_derived_state(self) -> None:
+        """Restore hook: drop the series handles bound into the sink."""
+        self._medium_counters.clear()
+
+    def _telemetry_labels(self, medium: Medium) -> Dict[str, str]:
+        labels = {"medium": medium.value}
+        if self._telemetry_node is not None:
+            labels["node"] = self._telemetry_node
+        return labels
 
     def add_listener(self, listener: CaptureListener) -> None:
         """Register a consumer of captures (typically the Data Store)."""
@@ -75,22 +88,22 @@ class CommunicationSystem:
     def on_capture(self, capture: Capture) -> None:
         """Intake one capture from any interface."""
         telemetry = self._telemetry
-        labels = {}
-        if telemetry is not None and self._telemetry_node is not None:
-            labels["node"] = self._telemetry_node
-        if capture.medium not in self.supported_mediums:
+        medium = capture.medium
+        if medium not in self.supported_mediums:
             self.dropped_unsupported += 1
             if telemetry is not None:
                 telemetry.metrics.counter("captures_dropped_total").inc(
-                    medium=capture.medium.value, **labels
+                    **self._telemetry_labels(medium)
                 )
             return
-        count = self.captures_by_medium.get(capture.medium, 0)
-        self.captures_by_medium[capture.medium] = count + 1
+        self.captures_by_medium[medium] = self.captures_by_medium.get(medium, 0) + 1
         if telemetry is not None:
-            telemetry.metrics.counter("captures_total").inc(
-                medium=capture.medium.value, **labels
-            )
+            counter = self._medium_counters.get(medium)
+            if counter is None:
+                counter = self._medium_counters[medium] = telemetry.bound_counter(
+                    "captures_total", **self._telemetry_labels(medium)
+                )
+            counter.inc()
         for listener in self._listeners:
             try:
                 listener(capture)

@@ -61,20 +61,37 @@ class DataStore:
         self.total_captures = 0
         self._telemetry = telemetry
         self._telemetry_node = telemetry_node
+        #: (added, evicted by count, evicted by age, window size) series
+        #: bound into ``_telemetry`` on the first add; None until then.
+        self._window_counters: Optional[tuple] = None
 
     def bind_telemetry(self, telemetry, node: Optional[str] = None) -> None:
         """Attach a :class:`repro.obs.Telemetry` for window metrics."""
         self._telemetry = telemetry
         self._telemetry_node = node
+        self._window_counters = None
 
     def rebuild_derived_state(self) -> None:
         """Recompute the timestamp ring from the capture window.
 
         Restore hook for snapshot/migration: ``_stamps`` is a pure
         function of ``_window``, so a restored store rebuilds it rather
-        than trusting a possibly-stale serialized copy.
+        than trusting a possibly-stale serialized copy.  The bound
+        telemetry series are dropped and re-bound on the next add.
         """
         self._stamps = [capture.timestamp for capture in self._window]
+        self._window_counters = None
+
+    def _bind_window_counters(self) -> tuple:
+        metrics = self._telemetry.metrics
+        labels = {} if self._telemetry_node is None else {"node": self._telemetry_node}
+        evicted = metrics.counter("datastore_evicted_total")
+        return (
+            metrics.counter("datastore_added_total").labelled(**labels),
+            evicted.labelled(reason="count", **labels),
+            evicted.labelled(reason="age", **labels),
+            metrics.gauge("datastore_window_size").labelled(**labels),
+        )
 
     # -- intake ------------------------------------------------------------------
 
@@ -100,18 +117,16 @@ class DataStore:
         if self._log_trace is not None:
             self._log_trace.append(TraceRecord(capture=capture))
         if self._telemetry is not None:
-            metrics = self._telemetry.metrics
-            labels = {} if self._telemetry_node is None else {"node": self._telemetry_node}
-            metrics.counter("datastore_added_total").inc(**labels)
+            counters = self._window_counters
+            if counters is None:
+                counters = self._window_counters = self._bind_window_counters()
+            added, by_count, by_age, window_size = counters
+            added.inc()
             if evicted_count:
-                metrics.counter("datastore_evicted_total").inc(
-                    evicted_count, reason="count", **labels
-                )
+                by_count.inc(evicted_count)
             if evicted_age:
-                metrics.counter("datastore_evicted_total").inc(
-                    evicted_age, reason="age", **labels
-                )
-            metrics.gauge("datastore_window_size").set(len(self), **labels)
+                by_age.inc(evicted_age)
+            window_size.set(len(self))
 
     # -- queries -------------------------------------------------------------------
 

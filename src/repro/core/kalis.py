@@ -152,20 +152,25 @@ class KalisNode:
         Called at construction when ``telemetry`` is passed, and again
         by the checkpoint/restore path when a node snapshotted without
         instrumentation is restored into a process that wants it: the
-        bus, intake, data-store and supervisor bindings are refreshed
-        and the flight-recorder quarantine-dump trigger is subscribed
-        exactly once (re-attaching is idempotent).  Listeners that were
-        already subscribed ride along inside the snapshot — they are
-        bound methods, which pickle — so a restored node needs no other
-        re-registration.
+        bus, intake, data-store, manager and supervisor bindings are
+        refreshed (dropping every series handle bound into the previous
+        sink) and the flight-recorder quarantine-dump trigger is
+        subscribed exactly once (re-attaching is idempotent).  A
+        supervisor bound to some other sink by its creator keeps it.
+        Listeners that were already subscribed ride along inside the
+        snapshot — they are bound methods, which pickle — so a restored
+        node needs no other re-registration.
         """
-        self.telemetry = telemetry
+        previous, self.telemetry = self.telemetry, telemetry
         self.bus.bind_telemetry(telemetry, self.node_id.value)
         self.comm.bind_telemetry(telemetry, self.node_id.value)
         self.datastore.bind_telemetry(telemetry, self.node_id.value)
-        self.manager.telemetry = telemetry
-        if self.manager.supervisor.telemetry is None:
-            self.manager.supervisor.bind_telemetry(telemetry, str(self.node_id))
+        self.manager.bind_telemetry(telemetry)
+        supervisor = self.manager.supervisor
+        if supervisor.telemetry is None or (
+            supervisor.telemetry is previous and previous is not telemetry
+        ):
+            supervisor.bind_telemetry(telemetry, str(self.node_id))
         if self._quarantine_dump_sub is None or not self._quarantine_dump_sub.active:
             self._quarantine_dump_sub = self.bus.subscribe(
                 TOPIC_MODULE_QUARANTINE, self._on_quarantine_dump
@@ -174,13 +179,17 @@ class KalisNode:
     def rebuild_derived_state(self) -> None:
         """Restore hook: recompute this node's derived caches.
 
-        The node's own layers keep almost no derived state — the data
-        store's timestamp ring is the one cache rebuilt here; the rest
-        (knowledge base, manager tables, supervisor breaker state,
-        alert sink, dead letters) is primary state carried verbatim by
-        the snapshot.
+        The node's layers keep two kinds of derived state: the data
+        store's timestamp ring, and the telemetry series handles the
+        bus, intake, data store and manager bind on first use.  Both
+        are rebuilt here; the rest (knowledge base, manager tables,
+        supervisor breaker state, alert sink, dead letters) is primary
+        state carried verbatim by the snapshot.
         """
+        self.bus.rebuild_derived_state()
+        self.comm.rebuild_derived_state()
         self.datastore.rebuild_derived_state()
+        self.manager.rebuild_derived_state()
 
     # -- construction helpers -------------------------------------------------------
 

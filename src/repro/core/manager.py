@@ -324,7 +324,19 @@ class ModuleManager:
         self._recheck_always: List[int] = []
         #: modules queued for the next re-check round (None when idle).
         self._pending: Optional[Set[int]] = None
+        #: module name -> (invocation counter, handle-time histogram),
+        #: bound into ``telemetry`` on the module's first routed capture.
+        self._handle_counters: Dict[str, tuple] = {}
         kb.subscribe_all(self._on_knowledge_change)
+
+    def bind_telemetry(self, telemetry) -> None:
+        """Attach a :class:`repro.obs.Telemetry` for per-module metrics."""
+        self.telemetry = telemetry
+        self._handle_counters.clear()
+
+    def rebuild_derived_state(self) -> None:
+        """Restore hook: drop the series handles bound into the sink."""
+        self._handle_counters.clear()
 
     # -- registration -----------------------------------------------------------
 
@@ -443,47 +455,54 @@ class ModuleManager:
         """
         self.supervisor.advance_to(capture.timestamp)
         telemetry = self.telemetry
-        node = str(self.node_id) if telemetry is not None else None
         for module in self.modules():
             if not module.active:
                 continue
-            if not self.supervisor.should_route(module.NAME):
+            name = module.NAME
+            if not self.supervisor.should_route(name):
                 continue
             self.work_units += module.COST_WEIGHT
             if telemetry is None:
                 try:
                     module.handle(capture)
                 except Exception as error:
-                    self.supervisor.record_failure(module.NAME, "handle", error)
+                    self.supervisor.record_failure(name, "handle", error)
                 else:
-                    self.supervisor.record_success(module.NAME)
+                    self.supervisor.record_success(name)
                 continue
-            telemetry.metrics.counter("module_invocations_total").inc(
-                node=node, module=module.NAME
-            )
-            failed = False
-            with telemetry.span(
-                "module.handle",
-                node=node,
-                t=capture.timestamp,
-                module=module.NAME,
-            ) as span:
-                try:
-                    module.handle(capture)
-                except Exception as error:
-                    failed = True
-                    span.attrs["error"] = type(error).__name__
-                    self.supervisor.record_failure(module.NAME, "handle", error)
-            if failed:
-                telemetry.metrics.counter("module_failures_total").inc(
-                    node=node, module=module.NAME
-                )
+            counters = self._handle_counters.get(name)
+            if counters is None:
+                counters = self._handle_counters[name] = self._bind_handle_counters(name)
+            invocations, handle_wall_us = counters
+            invocations.inc()
+            try:
+                handle_wall_us.time(module.handle, capture)
+            except Exception as error:
+                self._note_handle_error(name, capture, error)
+                self.supervisor.record_failure(name, "handle", error)
             else:
-                self.supervisor.record_success(module.NAME)
-            if span.wall_us is not None:
-                telemetry.metrics.histogram(
-                    "module_handle_wall_us", wall=True
-                ).observe(span.wall_us, node=node, module=module.NAME)
+                self.supervisor.record_success(name)
+
+    def _bind_handle_counters(self, name: str) -> tuple:
+        metrics = self.telemetry.metrics
+        labels = {"node": str(self.node_id), "module": name}
+        return (
+            metrics.counter("module_invocations_total").labelled(**labels),
+            metrics.histogram("module_handle_wall_us", wall=True).labelled(**labels),
+        )
+
+    def _note_handle_error(self, name: str, capture: Capture, error: Exception) -> None:
+        # Recorded before the supervisor sees the failure, so a
+        # quarantine flight dump it triggers names the failing module.
+        node = str(self.node_id)
+        self.telemetry.metrics.counter("module_failures_total").inc(node=node, module=name)
+        self.telemetry.event(
+            "module.error",
+            node=node,
+            t=capture.timestamp,
+            module=name,
+            error=type(error).__name__,
+        )
 
     # -- resource accounting -------------------------------------------------------------
 

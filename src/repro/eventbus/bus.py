@@ -93,11 +93,32 @@ class EventBus:
         self._pending_unsubscribes: List[Subscription] = []
         self._telemetry = None
         self._telemetry_node: Optional[str] = None
+        #: topic -> (published, delivered) counters bound into the sink.
+        self._topic_counters: Dict[str, tuple] = {}
 
     def bind_telemetry(self, telemetry, node: Optional[str] = None) -> None:
         """Attach a :class:`repro.obs.Telemetry` to this bus's dispatch."""
         self._telemetry = telemetry
         self._telemetry_node = node
+        self._topic_counters.clear()
+
+    def rebuild_derived_state(self) -> None:
+        """Restore hook: drop the series handles bound into the sink."""
+        self._topic_counters.clear()
+
+    def _telemetry_labels(self, topic: str) -> Dict[str, str]:
+        labels = {"topic": topic}
+        if self._telemetry_node is not None:
+            labels["node"] = self._telemetry_node
+        return labels
+
+    def _bind_topic_counters(self, topic: str) -> tuple:
+        metrics = self._telemetry.metrics
+        labels = self._telemetry_labels(topic)
+        return (
+            metrics.counter("bus_published_total").labelled(**labels),
+            metrics.counter("bus_delivered_total").labelled(**labels),
+        )
 
     # -- subscription --------------------------------------------------------
 
@@ -198,15 +219,16 @@ class EventBus:
         self._stats.delivered += delivered
         telemetry = self._telemetry
         if telemetry is not None:
-            labels = {"topic": topic}
-            if self._telemetry_node is not None:
-                labels["node"] = self._telemetry_node
-            metrics = telemetry.metrics
-            metrics.counter("bus_published_total").inc(**labels)
+            counters = self._topic_counters.get(topic)
+            if counters is None:
+                counters = self._topic_counters[topic] = self._bind_topic_counters(topic)
+            published, delivered_total = counters
+            published.inc()
             if delivered:
-                metrics.counter("bus_delivered_total").inc(delivered, **labels)
+                delivered_total.inc(delivered)
             if failures:
-                metrics.counter("bus_errors_total").inc(len(failures), **labels)
+                labels = self._telemetry_labels(topic)
+                telemetry.metrics.counter("bus_errors_total").inc(len(failures), **labels)
         if failures and topic != DEADLETTER_TOPIC:
             # Failures of dead-letter handlers are counted above but not
             # re-routed — the recursion must ground out somewhere.

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.ckpt.format import SnapshotStore
+from repro.ckpt.format import SnapshotStore, atomic_write
 from repro.ckpt.service import KILLED, CheckpointService
 from repro.faults import FaultPlan, ProcessKill
 from repro.fleet.sites import (
@@ -89,13 +89,9 @@ class ShardProgress:
         return cls(done=dict(data.get("done", {})))
 
     def save(self, shard_dir: Path) -> None:
-        path = shard_dir / MANIFEST_NAME
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps({"v": 1, "done": self.done}, sort_keys=True),
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        """Durably replace the manifest (see :func:`atomic_write`)."""
+        manifest = json.dumps({"v": 1, "done": self.done}, sort_keys=True)
+        atomic_write(shard_dir / MANIFEST_NAME, [manifest.encode("utf-8")])
 
 
 class ShardRunner:

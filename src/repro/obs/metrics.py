@@ -20,7 +20,9 @@ the ``"wall"`` key.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from time import perf_counter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Default histogram buckets, microseconds (wall-clock handle latency).
 DEFAULT_BUCKETS_US = (10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 25000.0)
@@ -69,9 +71,11 @@ class Metric:
 class BoundCounter:
     """One counter series with its label key pre-resolved.
 
-    Hot paths (the per-frame delivery loop) hoist the name lookup and
-    label-key canonicalisation out of the loop by binding once via
-    :meth:`Counter.labelled`; each ``inc`` is then a plain dict update.
+    Hot paths (the per-frame delivery loop, the per-capture hooks) hoist
+    the name lookup and label-key canonicalisation out of the loop by
+    binding once via :meth:`Counter.labelled`; each ``inc`` is then a
+    plain dict update.  Binding creates no series: a handle that is
+    never incremented leaves the export untouched.
     """
 
     __slots__ = ("_values", "_key")
@@ -126,11 +130,28 @@ class Gauge(Metric):
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = value
 
+    def labelled(self, **labels: Any) -> "BoundGauge":
+        """A pre-bound single-series view for hot-path updates."""
+        return BoundGauge(self._values, _label_key(labels))
+
     def value(self, **labels: Any) -> Optional[float]:
         return self._values.get(_label_key(labels))
 
     def series(self) -> Iterator[Tuple[LabelKey, Any]]:
         return iter(self._values.items())
+
+
+class BoundGauge:
+    """One gauge series with its label key pre-resolved."""
+
+    __slots__ = ("_values", "_key")
+
+    def __init__(self, values: Dict[LabelKey, float], key: LabelKey) -> None:
+        self._values = values
+        self._key = key
+
+    def set(self, value: float) -> None:
+        self._values[self._key] = value
 
 
 class _HistogramSeries:
@@ -159,17 +180,20 @@ class Histogram(Metric):
         self._values: Dict[LabelKey, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._observe(_label_key(labels), value)
+
+    def labelled(self, **labels: Any) -> "BoundHistogram":
+        """A pre-bound single-series view for hot-path observations."""
+        return BoundHistogram(self, _label_key(labels))
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         series = self._values.get(key)
         if series is None:
             series = self._values[key] = _HistogramSeries(len(self.buckets))
         series.count += 1
         series.sum += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                series.bucket_counts[index] += 1
-                return
-        series.bucket_counts[-1] += 1
+        # The first bound >= value; past the last bound is the +Inf bucket.
+        series.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     def count(self, **labels: Any) -> int:
         series = self._values.get(_label_key(labels))
@@ -199,6 +223,33 @@ class Histogram(Metric):
         else:
             fields.update(distribution)
         return fields
+
+
+class BoundHistogram:
+    """One histogram series with its label key pre-resolved."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: LabelKey) -> None:
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        self._histogram._observe(self._key, value)
+
+    def time(self, call: Callable[[Any], Any], arg: Any) -> Any:
+        """Return ``call(arg)``, observing its wall time in microseconds.
+
+        The observation is made even when ``call`` raises, so the
+        series counts every invocation.  This is how ``repro.core``
+        times module ``handle`` calls without reading the wall clock
+        itself (KL001).
+        """
+        started = perf_counter()
+        try:
+            return call(arg)
+        finally:
+            self._histogram._observe(self._key, (perf_counter() - started) * 1e6)
 
 
 class MetricsRegistry:

@@ -8,6 +8,11 @@ goes wrong.  The Kalis facade triggers dumps automatically on
 ``module.quarantine`` and ``bus.deadletter``, so the post-mortem for
 exactly the failures the supervisor absorbs is captured at the moment
 they happen, not reconstructed afterwards.
+
+Finished spans are stored as :class:`~repro.obs.telemetry.Span`
+objects and rendered to dicts only on read (:meth:`FlightRecorder.ring`,
+:meth:`FlightRecorder.dump`), so the recording cost does not grow with
+the number of fields a span exports.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ class FlightRecorder:
             raise ValueError(f"max_dumps must be >= 1, got {max_dumps}")
         self.capacity = capacity
         self.max_dumps = max_dumps
-        self._rings: Dict[str, Deque[Dict[str, Any]]] = {}
+        self._rings: Dict[str, Deque[Any]] = {}
         self.dumps: List[Dict[str, Any]] = []
         self.dumps_suppressed = 0
         self.entries_recorded = 0
 
-    def record(self, node: Optional[str], entry: Dict[str, Any]) -> None:
-        """Append one span/event dict to a node's ring."""
+    def record(self, node: Optional[str], entry: Any) -> None:
+        """Append one event dict, or one finished span, to a node's ring."""
         key = node if node is not None else GLOBAL_RING
         ring = self._rings.get(key)
         if ring is None:
@@ -50,8 +55,11 @@ class FlightRecorder:
         self.entries_recorded += 1
 
     def ring(self, node: Optional[str]) -> List[Dict[str, Any]]:
-        """Copy of one node's ring, oldest first."""
-        return list(self._rings.get(node if node is not None else GLOBAL_RING, ()))
+        """One node's ring as dicts, oldest first."""
+        return [
+            entry if isinstance(entry, dict) else entry.to_dict()
+            for entry in self._rings.get(node if node is not None else GLOBAL_RING, ())
+        ]
 
     def nodes(self) -> List[str]:
         return sorted(self._rings)

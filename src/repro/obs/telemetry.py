@@ -7,21 +7,27 @@ owns the three observability surfaces:
 - **spans** — lightweight causal units keyed on *simulated* time with
   explicit parent links.  Because the whole pipeline dispatches
   synchronously, a per-instance span stack gives exact parentage:
-  frame delivery → capture intake → data-store add → module ``handle``
-  → alert → collective share all nest under one trace, and a
-  :class:`~repro.core.collective.PeerLink` carries the trace id across
-  the scheduling gap to the receiving node.  Wall-clock durations
+  frame delivery → capture intake (``kalis.capture``, one span per
+  capture) nest under one trace, events raised meanwhile (alerts,
+  ``module.error``, supervisor transitions) are tagged with the
+  enclosing span, and a :class:`~repro.core.collective.PeerLink`
+  carries the trace id across the scheduling gap to the receiving
+  node.  Per-module ``handle`` time is not a span: it lands in the
+  ``module_handle_wall_us`` histogram.  Wall-clock durations
   (``perf_counter``) are measured alongside for profiling but exported
   only under ``"wall"`` keys and never read by any control-flow path,
   so same-seed runs stay byte-identical once those keys are stripped;
 - **metrics** — the :class:`~repro.obs.metrics.MetricsRegistry`;
 - **the flight recorder** — completed spans and events land in
   per-node rings (:class:`~repro.obs.recorder.FlightRecorder`) that
-  dump on quarantine/dead-letter.
+  dump on quarantine/dead-letter.  Spans are stored as objects and
+  rendered to dicts only when a ring is read or dumped.
 
 Components hold ``telemetry: Optional[Telemetry] = None`` and guard
 every hook with a ``None`` check, so the disabled (default) cost is one
-attribute load per hook site.
+attribute load per hook site.  Per-capture hooks bind their metric
+series once (``metrics.counter(name).labelled(**labels)``) and reuse the
+handle, so the enabled cost carries no per-call label sort.
 """
 
 from __future__ import annotations
@@ -35,7 +41,12 @@ from repro.util.clock import Clock
 
 
 class Span:
-    """One causal unit of pipeline work, keyed on sim time."""
+    """One causal unit of pipeline work, keyed on sim time.
+
+    Opened by :meth:`Telemetry.span` and used as a context manager:
+    leaving the ``with`` block stops its wall-clock stopwatch and hands
+    it to the flight recorder.
+    """
 
     __slots__ = (
         "span_id",
@@ -46,6 +57,8 @@ class Span:
         "t",
         "attrs",
         "wall_us",
+        "_telemetry",
+        "_wall_start",
     )
 
     def __init__(
@@ -57,6 +70,7 @@ class Span:
         node: Optional[str],
         t: float,
         attrs: Dict[str, Any],
+        telemetry: Optional["Telemetry"] = None,
     ) -> None:
         self.span_id = span_id
         self.trace_id = trace_id
@@ -66,6 +80,15 @@ class Span:
         self.t = t
         self.attrs = attrs
         self.wall_us: Optional[float] = None
+        self._telemetry = telemetry
+        self._wall_start = perf_counter()
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.wall_us = (perf_counter() - self._wall_start) * 1e6
+        self._telemetry._finish(self)
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -84,24 +107,6 @@ class Span:
         if self.wall_us is not None:
             data["wall"] = {"us": round(self.wall_us, 3)}
         return data
-
-
-class _ActiveSpan:
-    """Context manager pairing a span with its wall-clock stopwatch."""
-
-    __slots__ = ("telemetry", "span", "_wall_start")
-
-    def __init__(self, telemetry: "Telemetry", span: Span) -> None:
-        self.telemetry = telemetry
-        self.span = span
-        self._wall_start = perf_counter()
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.span.wall_us = (perf_counter() - self._wall_start) * 1e6
-        self.telemetry._finish(self.span)
 
 
 class Telemetry:
@@ -170,7 +175,7 @@ class Telemetry:
         t: Optional[float] = None,
         trace_id: Optional[int] = None,
         **attrs: Any,
-    ) -> _ActiveSpan:
+    ) -> Span:
         """Open a span; use as a context manager.
 
         Parentage comes from the span stack; ``trace_id`` overrides the
@@ -184,16 +189,17 @@ class Telemetry:
         if trace_id is None:
             trace_id = parent.trace_id if parent is not None else span_id
         span = Span(
-            span_id=span_id,
-            trace_id=trace_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            node=node if node is not None else (parent.node if parent else None),
-            t=t if t is not None else self.now,
-            attrs=attrs,
+            span_id,
+            trace_id,
+            parent.span_id if parent is not None else None,
+            name,
+            node if node is not None else (parent.node if parent else None),
+            t if t is not None else self.now,
+            attrs,
+            self,
         )
         self._stack.append(span)
-        return _ActiveSpan(self, span)
+        return span
 
     def _finish(self, span: Span) -> None:
         # Pop to (and including) the span even if an exception skipped
@@ -203,7 +209,7 @@ class Telemetry:
             if top is span:
                 break
         self.spans_finished += 1
-        self.recorder.record(span.node, span.to_dict())
+        self.recorder.record(span.node, span)
 
     # -- events --------------------------------------------------------------
 

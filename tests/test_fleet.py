@@ -15,6 +15,8 @@ the scale claims live in benchmarks/test_bench_fleet.py.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -113,6 +115,28 @@ class TestShardRunner:
         progress.save(tmp_path)
         assert ShardProgress.load(tmp_path).done == progress.done
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_manifest_save_syncs_the_file_and_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """POSIX: a renamed manifest is durable once file and dir are synced."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            events.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        ShardProgress(done={"site-0000": {"packets": 5}}).save(tmp_path)
+        assert events == ["fsync-file", "replace", "fsync-dir"]
+        assert ShardProgress.load(tmp_path).done == {"site-0000": {"packets": 5}}
 
     def test_stream_file_carries_every_batch(self, tmp_path):
         specs = site_specs(SEED, 2, symptom_instances=INSTANCES)
