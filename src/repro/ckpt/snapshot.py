@@ -18,9 +18,11 @@ cadences and fault-plan actions sitting on the event queue, and the
 RNG substream registry (hashed draws are positionless, so substreams
 serialize as just their key material).
 
-**What is not**: derived caches (spatial grids, bound telemetry
-counters, the data-store timestamp ring) are dropped and rebuilt on
-restore; OS-level resources (open files, sockets, signal handlers)
+**What is not**: derived caches (spatial grids, sender snapshots, the
+data-store timestamp ring) are dropped and rebuilt on restore.  Bound
+telemetry series handles are not derived: they pickle together with the
+sink they write into, so a restored layer writes into the restored
+registry.  OS-level resources (open files, sockets, signal handlers)
 are never part of the graph by construction.
 
 The restore invariant (the E15 oracle): *run → kill → restore →
@@ -72,7 +74,11 @@ class Deployment:
         return self.sim.clock.now >= self.end_time
 
     def rebuild_derived_state(self) -> None:
-        """Re-derive every cache after a restore (the KL204 seams)."""
+        """Re-derive every cache after a restore (the KL204 seams).
+
+        Telemetry needs nothing here: series handles pickle with the
+        sink they write into.
+        """
         self.sim.rebuild_derived_state()
         for node in self.kalis_nodes:
             node.rebuild_derived_state()

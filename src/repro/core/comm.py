@@ -54,24 +54,15 @@ class CommunicationSystem:
         self.intake_errors: List[Tuple[str, BaseException]] = []
         self._telemetry = None
         self._telemetry_node: Optional[str] = None
-        #: medium -> ``captures_total`` counter bound into the sink.
-        self._medium_counters: Dict[Medium, object] = {}
 
-    def bind_telemetry(self, telemetry, node: Optional[str] = None) -> None:
-        """Attach a :class:`repro.obs.Telemetry` for intake metrics."""
+    def bind_telemetry(self, telemetry, node: str) -> None:
+        """Attach a :class:`repro.obs.Telemetry` for per-medium intake metrics."""
         self._telemetry = telemetry
         self._telemetry_node = node
-        self._medium_counters.clear()
-
-    def rebuild_derived_state(self) -> None:
-        """Restore hook: drop the series handles bound into the sink."""
-        self._medium_counters.clear()
-
-    def _telemetry_labels(self, medium: Medium) -> Dict[str, str]:
-        labels = {"medium": medium.value}
-        if self._telemetry_node is not None:
-            labels["node"] = self._telemetry_node
-        return labels
+        if telemetry is not None:
+            self._captured = telemetry.metrics.keyed(
+                "counter", "captures_total", "medium", node=node
+            )
 
     def add_listener(self, listener: CaptureListener) -> None:
         """Register a consumer of captures (typically the Data Store)."""
@@ -93,17 +84,12 @@ class CommunicationSystem:
             self.dropped_unsupported += 1
             if telemetry is not None:
                 telemetry.metrics.counter("captures_dropped_total").inc(
-                    **self._telemetry_labels(medium)
+                    medium=medium, node=self._telemetry_node
                 )
             return
         self.captures_by_medium[medium] = self.captures_by_medium.get(medium, 0) + 1
         if telemetry is not None:
-            counter = self._medium_counters.get(medium)
-            if counter is None:
-                counter = self._medium_counters[medium] = telemetry.bound_counter(
-                    "captures_total", **self._telemetry_labels(medium)
-                )
-            counter.inc()
+            self._captured[medium].inc()
         for listener in self._listeners:
             try:
                 listener(capture)

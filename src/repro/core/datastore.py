@@ -40,8 +40,6 @@ class DataStore:
         window_size: int = 2000,
         window_age: Optional[float] = 60.0,
         log_to: Optional[str] = None,
-        telemetry=None,
-        telemetry_node: Optional[str] = None,
     ) -> None:
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
@@ -59,39 +57,27 @@ class DataStore:
         self._log_path = Path(log_to) if log_to else None
         self._log_trace: Optional[Trace] = Trace() if log_to else None
         self.total_captures = 0
-        self._telemetry = telemetry
-        self._telemetry_node = telemetry_node
-        #: (added, evicted by count, evicted by age, window size) series
-        #: bound into ``_telemetry`` on the first add; None until then.
-        self._window_counters: Optional[tuple] = None
+        self._telemetry = None
+        self._telemetry_node: Optional[str] = None
 
-    def bind_telemetry(self, telemetry, node: Optional[str] = None) -> None:
+    def bind_telemetry(self, telemetry, node: str) -> None:
         """Attach a :class:`repro.obs.Telemetry` for window metrics."""
         self._telemetry = telemetry
         self._telemetry_node = node
-        self._window_counters = None
+        if telemetry is not None:
+            metrics = telemetry.metrics
+            self._added = metrics.keyed("counter", "datastore_added_total", "node")
+            self._evicted = metrics.keyed("counter", "datastore_evicted_total", "reason", node=node)
+            self._window_size = metrics.keyed("gauge", "datastore_window_size", "node")
 
     def rebuild_derived_state(self) -> None:
         """Recompute the timestamp ring from the capture window.
 
         Restore hook for snapshot/migration: ``_stamps`` is a pure
         function of ``_window``, so a restored store rebuilds it rather
-        than trusting a possibly-stale serialized copy.  The bound
-        telemetry series are dropped and re-bound on the next add.
+        than trusting a possibly-stale serialized copy.
         """
         self._stamps = [capture.timestamp for capture in self._window]
-        self._window_counters = None
-
-    def _bind_window_counters(self) -> tuple:
-        metrics = self._telemetry.metrics
-        labels = {} if self._telemetry_node is None else {"node": self._telemetry_node}
-        evicted = metrics.counter("datastore_evicted_total")
-        return (
-            metrics.counter("datastore_added_total").labelled(**labels),
-            evicted.labelled(reason="count", **labels),
-            evicted.labelled(reason="age", **labels),
-            metrics.gauge("datastore_window_size").labelled(**labels),
-        )
 
     # -- intake ------------------------------------------------------------------
 
@@ -117,16 +103,13 @@ class DataStore:
         if self._log_trace is not None:
             self._log_trace.append(TraceRecord(capture=capture))
         if self._telemetry is not None:
-            counters = self._window_counters
-            if counters is None:
-                counters = self._window_counters = self._bind_window_counters()
-            added, by_count, by_age, window_size = counters
-            added.inc()
+            node = self._telemetry_node
+            self._added[node].inc()
             if evicted_count:
-                by_count.inc(evicted_count)
+                self._evicted["count"].inc(evicted_count)
             if evicted_age:
-                by_age.inc(evicted_age)
-            window_size.set(len(self))
+                self._evicted["age"].inc(evicted_age)
+            self._window_size[node].set(len(self))
 
     # -- queries -------------------------------------------------------------------
 

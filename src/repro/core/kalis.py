@@ -112,8 +112,6 @@ class KalisNode:
             window_size=window_size,
             window_age=window_age,
             log_to=log_to,
-            telemetry=telemetry,
-            telemetry_node=node_id.value,
         )
         self.comm = CommunicationSystem(
             supported_mediums=list(mediums) if mediums is not None else None
@@ -125,7 +123,6 @@ class KalisNode:
             node_id=node_id,
             knowledge_driven=knowledge_driven,
             supervisor=supervisor,
-            telemetry=telemetry,
         )
         self.alerts = AlertSink()
         self.deadletters: List[DeadLetter] = []
@@ -149,17 +146,19 @@ class KalisNode:
     def attach_telemetry(self, telemetry) -> None:
         """(Re)bind a telemetry sink across every layer of this node.
 
-        Called at construction when ``telemetry`` is passed, and again
-        by the checkpoint/restore path when a node snapshotted without
-        instrumentation is restored into a process that wants it: the
-        bus, intake, data-store, manager and supervisor bindings are
-        refreshed (dropping every series handle bound into the previous
-        sink) and the flight-recorder quarantine-dump trigger is
-        subscribed exactly once (re-attaching is idempotent).  A
-        supervisor bound to some other sink by its creator keeps it.
-        Listeners that were already subscribed ride along inside the
-        snapshot — they are bound methods, which pickle — so a restored
-        node needs no other re-registration.
+        The one place a node's layers bind their metric series: called
+        at construction when ``telemetry`` is passed, and again by the
+        checkpoint/restore path when a node snapshotted without
+        instrumentation is restored into a process that wants it.  Each
+        layer's ``bind_telemetry`` replaces its series handles with ones
+        bound into the new sink, so no later count lands in the old
+        one; the flight-recorder quarantine-dump trigger is subscribed
+        exactly once (re-attaching is idempotent).  A supervisor bound
+        to some other sink by its creator keeps it.  The handles are
+        reachable only through the layers that also hold the sink, so a
+        snapshot pickles them together with the registry they write
+        into, and listeners ride along the same way — they are bound
+        methods — so a restored node needs no re-registration.
         """
         previous, self.telemetry = self.telemetry, telemetry
         self.bus.bind_telemetry(telemetry, self.node_id.value)
@@ -179,17 +178,13 @@ class KalisNode:
     def rebuild_derived_state(self) -> None:
         """Restore hook: recompute this node's derived caches.
 
-        The node's layers keep two kinds of derived state: the data
-        store's timestamp ring, and the telemetry series handles the
-        bus, intake, data store and manager bind on first use.  Both
-        are rebuilt here; the rest (knowledge base, manager tables,
-        supervisor breaker state, alert sink, dead letters) is primary
-        state carried verbatim by the snapshot.
+        The only derived state is the data store's timestamp ring; the
+        rest (knowledge base, manager tables, supervisor breaker state,
+        alert sink, dead letters, and the telemetry series handles,
+        which pickle with their sink) is carried verbatim by the
+        snapshot.
         """
-        self.bus.rebuild_derived_state()
-        self.comm.rebuild_derived_state()
         self.datastore.rebuild_derived_state()
-        self.manager.rebuild_derived_state()
 
     # -- construction helpers -------------------------------------------------------
 

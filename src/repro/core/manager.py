@@ -294,21 +294,18 @@ class ModuleManager:
         node_id: NodeId,
         knowledge_driven: bool = True,
         supervisor: Optional[ModuleSupervisor] = None,
-        telemetry=None,
     ) -> None:
         self.kb = kb
         self.datastore = datastore
         self.bus = bus
         self.node_id = node_id
         self.knowledge_driven = knowledge_driven
-        self.telemetry = telemetry
+        self.telemetry = None
         self.supervisor = (
             supervisor if supervisor is not None else ModuleSupervisor(bus)
         )
         if self.supervisor.bus is None:
             self.supervisor.bus = bus
-        if telemetry is not None and self.supervisor.telemetry is None:
-            self.supervisor.bind_telemetry(telemetry, str(node_id))
         self._modules: Dict[str, KalisModule] = {}
         self._order: List[str] = []
         self._forced_active: Set[str] = set()
@@ -324,19 +321,20 @@ class ModuleManager:
         self._recheck_always: List[int] = []
         #: modules queued for the next re-check round (None when idle).
         self._pending: Optional[Set[int]] = None
-        #: module name -> (invocation counter, handle-time histogram),
-        #: bound into ``telemetry`` on the module's first routed capture.
-        self._handle_counters: Dict[str, tuple] = {}
         kb.subscribe_all(self._on_knowledge_change)
 
     def bind_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.obs.Telemetry` for per-module metrics."""
         self.telemetry = telemetry
-        self._handle_counters.clear()
-
-    def rebuild_derived_state(self) -> None:
-        """Restore hook: drop the series handles bound into the sink."""
-        self._handle_counters.clear()
+        if telemetry is not None:
+            metrics = telemetry.metrics
+            node = str(self.node_id)
+            self._invocations = metrics.keyed(
+                "counter", "module_invocations_total", "module", node=node
+            )
+            self._handle_wall_us = metrics.keyed(
+                "histogram", "module_handle_wall_us", "module", wall=True, node=node
+            )
 
     # -- registration -----------------------------------------------------------
 
@@ -470,26 +468,14 @@ class ModuleManager:
                 else:
                     self.supervisor.record_success(name)
                 continue
-            counters = self._handle_counters.get(name)
-            if counters is None:
-                counters = self._handle_counters[name] = self._bind_handle_counters(name)
-            invocations, handle_wall_us = counters
-            invocations.inc()
+            self._invocations[name].inc()
             try:
-                handle_wall_us.time(module.handle, capture)
+                self._handle_wall_us[name].time(module.handle, capture)
             except Exception as error:
                 self._note_handle_error(name, capture, error)
                 self.supervisor.record_failure(name, "handle", error)
             else:
                 self.supervisor.record_success(name)
-
-    def _bind_handle_counters(self, name: str) -> tuple:
-        metrics = self.telemetry.metrics
-        labels = {"node": str(self.node_id), "module": name}
-        return (
-            metrics.counter("module_invocations_total").labelled(**labels),
-            metrics.histogram("module_handle_wall_us", wall=True).labelled(**labels),
-        )
 
     def _note_handle_error(self, name: str, capture: Capture, error: Exception) -> None:
         # Recorded before the supervisor sees the failure, so a

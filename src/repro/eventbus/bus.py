@@ -74,10 +74,7 @@ class Subscription:
 
 @dataclass
 class _BusStats:
-    published: int = 0
     delivered: int = 0
-    dropped: int = 0
-    errors: int = 0
     per_topic: Dict[str, int] = field(default_factory=dict)
     errors_per_topic: Dict[str, int] = field(default_factory=dict)
 
@@ -93,32 +90,15 @@ class EventBus:
         self._pending_unsubscribes: List[Subscription] = []
         self._telemetry = None
         self._telemetry_node: Optional[str] = None
-        #: topic -> (published, delivered) counters bound into the sink.
-        self._topic_counters: Dict[str, tuple] = {}
 
-    def bind_telemetry(self, telemetry, node: Optional[str] = None) -> None:
-        """Attach a :class:`repro.obs.Telemetry` to this bus's dispatch."""
+    def bind_telemetry(self, telemetry, node: str) -> None:
+        """Attach a :class:`repro.obs.Telemetry` for per-topic dispatch metrics."""
         self._telemetry = telemetry
         self._telemetry_node = node
-        self._topic_counters.clear()
-
-    def rebuild_derived_state(self) -> None:
-        """Restore hook: drop the series handles bound into the sink."""
-        self._topic_counters.clear()
-
-    def _telemetry_labels(self, topic: str) -> Dict[str, str]:
-        labels = {"topic": topic}
-        if self._telemetry_node is not None:
-            labels["node"] = self._telemetry_node
-        return labels
-
-    def _bind_topic_counters(self, topic: str) -> tuple:
-        metrics = self._telemetry.metrics
-        labels = self._telemetry_labels(topic)
-        return (
-            metrics.counter("bus_published_total").labelled(**labels),
-            metrics.counter("bus_delivered_total").labelled(**labels),
-        )
+        if telemetry is not None:
+            metrics = telemetry.metrics
+            self._published = metrics.keyed("counter", "bus_published_total", "topic", node=node)
+            self._delivered = metrics.keyed("counter", "bus_delivered_total", "topic", node=node)
 
     # -- subscription --------------------------------------------------------
 
@@ -174,7 +154,6 @@ class EventBus:
         exact under failure — only handlers that returned normally count.
         """
         event = Event(topic=topic, payload=payload)
-        self._stats.published += 1
         self._stats.per_topic[topic] = self._stats.per_topic.get(topic, 0) + 1
 
         targets: List[Subscription] = []
@@ -182,7 +161,6 @@ class EventBus:
         targets.extend(s for s in self._prefix if topic.startswith(s.topic))
 
         if not targets:
-            self._stats.dropped += 1
             return 0
 
         self._dispatching += 1
@@ -196,7 +174,6 @@ class EventBus:
                 try:
                     subscription.handler(event)
                 except Exception as error:
-                    self._stats.errors += 1
                     self._stats.errors_per_topic[topic] = (
                         self._stats.errors_per_topic.get(topic, 0) + 1
                     )
@@ -219,22 +196,21 @@ class EventBus:
         self._stats.delivered += delivered
         telemetry = self._telemetry
         if telemetry is not None:
-            counters = self._topic_counters.get(topic)
-            if counters is None:
-                counters = self._topic_counters[topic] = self._bind_topic_counters(topic)
-            published, delivered_total = counters
-            published.inc()
+            self._published[topic].inc()
             if delivered:
-                delivered_total.inc(delivered)
+                self._delivered[topic].inc(delivered)
             if failures:
-                labels = self._telemetry_labels(topic)
-                telemetry.metrics.counter("bus_errors_total").inc(len(failures), **labels)
+                telemetry.metrics.counter("bus_errors_total").inc(
+                    len(failures), topic=topic, node=self._telemetry_node
+                )
         if failures and topic != DEADLETTER_TOPIC:
             # Failures of dead-letter handlers are counted above but not
             # re-routed — the recursion must ground out somewhere.
             for deadletter in failures:
                 if telemetry is not None:
-                    telemetry.metrics.counter("bus_deadletters_total").inc(**labels)
+                    telemetry.metrics.counter("bus_deadletters_total").inc(
+                        topic=topic, node=self._telemetry_node
+                    )
                     telemetry.event(
                         "bus.deadletter",
                         node=self._telemetry_node,
@@ -262,7 +238,7 @@ class EventBus:
 
     @property
     def published_count(self) -> int:
-        return self._stats.published
+        return sum(self._stats.per_topic.values())
 
     @property
     def delivered_count(self) -> int:
@@ -271,7 +247,7 @@ class EventBus:
     @property
     def error_count(self) -> int:
         """Total handler failures absorbed across all topics."""
-        return self._stats.errors
+        return sum(self._stats.errors_per_topic.values())
 
     def topic_counts(self) -> Dict[str, int]:
         """Copy of per-topic publish counters (for diagnostics and tests)."""

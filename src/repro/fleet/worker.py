@@ -10,10 +10,11 @@ specs — and a shard directory holding three kinds of durable state:
   :class:`~repro.ckpt.format.SnapshotStore` (removed once the site is
   done: only the site currently crossing the kill window needs one);
 - ``stream.ndjson`` — every batch the worker ever emitted, one line
-  per batch, flushed before the batch is offered to the queue.  This
-  is the at-least-once durability backstop: whatever the bounded queue
-  loses to a kill, the aggregator's end-of-run sweep recovers, and
-  content-keyed dedup collapses the overlap.
+  per batch, flushed before the batch is offered to the queue, and
+  fsynced at each site's last batch, before the manifest records the
+  site.  This is the at-least-once durability backstop: whatever the
+  bounded queue loses to a kill, the aggregator's end-of-run sweep
+  recovers, and content-keyed dedup collapses the overlap.
 
 Emission rides the checkpoint cadence: the
 :class:`~repro.ckpt.service.CheckpointService` ``on_checkpoint`` hook
@@ -258,6 +259,13 @@ def worker_main(
             stream.write(batch_line(record))
             stream.write("\n")
             stream.flush()
+            events = record.get("events")
+            if events and events[-1]["kind"] == "site-done":
+                # A site's last batch precedes the manifest marking the
+                # site done: sync it first, or an OS crash could keep
+                # the mark and lose the batches, which the resumed
+                # worker then never re-emits.
+                os.fsync(stream.fileno())
             queue.put(record)
 
         def queue_depth() -> Optional[int]:

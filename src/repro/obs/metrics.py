@@ -154,6 +154,42 @@ class BoundGauge:
         self._values[self._key] = value
 
 
+class KeyedHandles(dict):
+    """Key -> bound handle of one metric, bound on the key's first lookup.
+
+    The hot-path form of a series family, made by
+    :meth:`MetricsRegistry.keyed`: ``handles[key]`` is
+    ``metric.labelled(**{label: key}, **labels)``, resolved once per key
+    and then a plain dict hit.  The metric, too, is registered on the
+    first lookup, so binding a sink costs one empty map per family and,
+    like ``labelled``, creates no series.  The map holds its registry,
+    so it pickles together with the registry it writes into.
+    """
+
+    __slots__ = ("registry", "kind", "name", "wall", "label", "labels")
+
+    def __init__(
+        self,
+        registry: "MetricsRegistry",
+        kind: str,
+        name: str,
+        wall: bool,
+        label: str,
+        labels: Dict[str, Any],
+    ) -> None:
+        self.registry = registry
+        self.kind = kind
+        self.name = name
+        self.wall = wall
+        self.label = label
+        self.labels = labels
+
+    def __missing__(self, key: Any) -> Any:
+        metric = getattr(self.registry, self.kind)(self.name, wall=self.wall)
+        handle = self[key] = metric.labelled(**{self.label: key}, **self.labels)
+        return handle
+
+
 class _HistogramSeries:
     __slots__ = ("bucket_counts", "count", "sum")
 
@@ -287,6 +323,14 @@ class MetricsRegistry:
         wall: bool = False,
     ) -> Histogram:
         return self._get(Histogram, name, help, buckets=buckets, wall=wall)
+
+    def keyed(
+        self, kind: str, name: str, label: str, *, wall: bool = False, **labels: Any
+    ) -> KeyedHandles:
+        """Bound handles of the ``kind`` ("counter", "gauge" or "histogram")
+        metric ``name``, one per value of ``label``; ``labels`` are fixed.
+        See :class:`KeyedHandles`."""
+        return KeyedHandles(self, kind, name, wall, label, labels)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)

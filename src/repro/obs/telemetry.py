@@ -150,16 +150,6 @@ class Telemetry:
         self._next_id += 1
         return trace_id
 
-    def bound_counter(self, name: str, **labels: Any):
-        """Resolve one counter series once for hot-path increments.
-
-        Returns a :class:`~repro.obs.metrics.BoundCounter` whose
-        ``inc()`` skips the registry lookup and label-key sort that
-        ``metrics.counter(name).inc(**labels)`` pays per call — used by
-        the simulator's frame-delivery loop.
-        """
-        return self.metrics.counter(name).labelled(**labels)
-
     def current_span(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 

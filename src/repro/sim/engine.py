@@ -83,10 +83,11 @@ class Simulator:
         self.candidate_evaluations = 0
         self._running = False
         self.telemetry = telemetry
-        self._tx_counters: Dict[Medium, object] = {}
-        self._delivery_counters: Dict[Medium, object] = {}
         if telemetry is not None:
             telemetry.bind_clock(self.clock)
+            metrics = telemetry.metrics
+            self._transmitted = metrics.keyed("counter", "sim_transmissions_total", "medium")
+            self._delivered = metrics.keyed("counter", "sim_deliveries_total", "medium")
 
     @property
     def now(self) -> float:
@@ -112,17 +113,16 @@ class Simulator:
     def rebuild_derived_state(self) -> None:
         """Drop every derived cache; each rebuilds lazily on next use.
 
-        Restore hook for snapshot/migration: the spatial grids are a
-        pure function of member positions and medium cull ranges, and
-        the bound telemetry counters hold handles into the (process-
-        local) telemetry sink, so none of them should survive a
-        checkpoint boundary.
+        Restore hook for snapshot/migration: the spatial grids and
+        sender snapshots are pure functions of member positions and
+        medium cull ranges, and the delivery free list only recycles
+        records, so none of them should survive a checkpoint boundary.
+        The bound telemetry counters are not derived: they pickle with
+        the sink they write into.
         """
         self._grids.clear()
         self._delivery_pool.clear()
         self._sender_cache.clear()
-        self._tx_counters.clear()
-        self._delivery_counters.clear()
 
     def _grid(self, medium: Medium) -> SpatialGrid:
         """The (lazily built) spatial index for one medium.
@@ -253,14 +253,6 @@ class Simulator:
 
     # -- transmission --------------------------------------------------------
 
-    def _bound_counter(self, cache: Dict[Medium, object], name: str, medium: Medium):
-        counter = cache.get(medium)
-        if counter is None:
-            counter = cache[medium] = self.telemetry.bound_counter(
-                name, medium=medium.value
-            )
-        return counter
-
     def transmit(self, sender: "SimNode", medium: Medium, packet: Packet) -> int:
         """Broadcast a frame into the world; returns receptions scheduled.
 
@@ -296,12 +288,8 @@ class Simulator:
         delivery_counter = None
         if telemetry is not None:
             trace_id = telemetry.new_trace()
-            self._bound_counter(
-                self._tx_counters, "sim_transmissions_total", medium
-            ).inc()
-            delivery_counter = self._bound_counter(
-                self._delivery_counters, "sim_deliveries_total", medium
-            )
+            self._transmitted[medium].inc()
+            delivery_counter = self._delivered[medium]
         airtime = packet.size_bytes * 8.0 / BITS_PER_SECOND[medium]
         arrival = self.clock.now + TRANSMIT_LATENCY_S + airtime
         sender_id = sender.node_id

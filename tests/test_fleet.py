@@ -17,6 +17,7 @@ the scale claims live in benchmarks/test_bench_fleet.py.
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -32,9 +33,12 @@ from repro.fleet import (
     shard_specs,
     site_specs,
     stream_path,
+    worker_main,
 )
 from repro.fleet.sites import alert_events
+from repro.fleet.worker import MANIFEST_NAME
 from repro.siem import SiemAggregator
+from repro.siem.events import WORKER_DONE_TYPE
 
 SITES = 5
 INSTANCES = 2
@@ -137,6 +141,59 @@ class TestShardRunner:
         ShardProgress(done={"site-0000": {"packets": 5}}).save(tmp_path)
         assert events == ["fsync-file", "replace", "fsync-dir"]
         assert ShardProgress.load(tmp_path).done == {"site-0000": {"packets": 5}}
+
+    def test_worker_fsyncs_the_stream_before_the_manifest_marks_a_site(
+        self, tmp_path, monkeypatch
+    ):
+        """POSIX: an OS crash may keep a renamed manifest yet lose unsynced
+        stream lines, so each site's batches, site-done included, must be
+        fsynced before the manifest marks the site done."""
+        specs = site_specs(SEED, 2, symptom_instances=INSTANCES)
+        shard_dir = tmp_path / "w0"
+        stream = stream_path(shard_dir)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            if stream.exists() and os.path.samestat(os.fstat(fd), stream.stat()):
+                events.append(("stream-fsync", stream.read_text(encoding="utf-8")))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            if Path(dst).name == MANIFEST_NAME:
+                manifest = json.loads(Path(src).read_text(encoding="utf-8"))
+                events.append(("manifest-replace", set(manifest["done"])))
+            real_replace(src, dst)
+
+        class StandInQueue:
+            def __init__(self):
+                self.records = []
+
+            def put(self, record):
+                self.records.append(record)
+
+            def qsize(self):
+                return len(self.records)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        queue = StandInQueue()
+        worker_main(0, specs, shard_dir, queue)
+
+        assert [kind for kind, _ in events] == ["stream-fsync", "manifest-replace"] * 2
+        synced_done = set()
+        for kind, payload in events:
+            if kind == "stream-fsync":
+                synced_done = {
+                    event["site"]
+                    for line in payload.splitlines()
+                    for event in json.loads(line).get("events", ())
+                    if event["kind"] == "site-done"
+                }
+            else:
+                assert payload <= synced_done
+        assert synced_done == {spec.site_id for spec in specs}
+        assert queue.records[-1]["type"] == WORKER_DONE_TYPE
 
     def test_stream_file_carries_every_batch(self, tmp_path):
         specs = site_specs(SEED, 2, symptom_instances=INSTANCES)

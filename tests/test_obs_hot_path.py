@@ -1,12 +1,14 @@
 """The telemetry hot path: bound series handles, one span per capture.
 
-Per-capture hooks bind each metric series once and reuse the handle;
-these tests hold that path to the unbound registry API it replaces:
+Per-capture hooks bind each metric series once, when the sink is
+attached, and reuse the handle; these tests hold that path to the
+unbound registry API it replaces:
 
-- a hypothesis oracle drives random label sets and values through both
-  and requires identical registry snapshots;
-- rebinding (``attach_telemetry``) and checkpoint restore drop every
-  bound handle, so no count lands in a stale sink;
+- a hypothesis oracle drives random label sets and values through bound
+  handles, keyed-handle maps and the unbound API, and requires
+  identical registry snapshots;
+- after a rebind (``attach_telemetry``) or a checkpoint restore every
+  count lands in the current sink, never in a stale one;
 - the deterministic metric records of two canonical runs are pinned to
   their sha256, so binding can never change what is counted.
 """
@@ -23,6 +25,7 @@ from repro.ckpt import capture, restore
 from repro.core.kalis import KalisNode
 from repro.experiments import chaos_scenario, icmp_flood_scenario
 from repro.experiments.soak_scenario import build_e1_deployment
+from repro.net.packets.base import Medium
 from repro.obs import DEFAULT_BUCKETS_US, MetricsRegistry, Span, Telemetry
 from repro.obs.export import canonical_telemetry_lines
 from repro.util.ids import NodeId
@@ -36,6 +39,9 @@ LABEL_SETS = [
     {"node": "a", "module": "m"},
     {"module": "m", "node": "a", "topic": "knowledge.x$y"},
 ]
+#: Keys of the open ``key`` label of a keyed-handle map; the enum binds
+#: through its ``str``, as the per-medium hooks do.
+KEYS = ["capture", "knowledge.x$y", Medium.WIFI]
 VALUES = st.one_of(
     st.sampled_from(DEFAULT_BUCKETS_US),
     st.sampled_from([0.0, -1.0, -1e9, math.inf, 1e12]),
@@ -46,10 +52,21 @@ OPERATIONS = st.lists(
     st.tuples(
         st.sampled_from(["counter", "gauge", "histogram"]),
         st.integers(min_value=0, max_value=len(LABEL_SETS) - 1),
+        st.sampled_from(KEYS),
         VALUES,
     ),
     max_size=40,
 )
+
+
+def _apply(kind, target, value, **labels):
+    """One operation on a bound handle (no labels) or a metric (labels)."""
+    if kind == "counter":
+        target.inc(value, **labels)
+    elif kind == "gauge":
+        target.set(value, **labels)
+    else:
+        target.observe(value, **labels)
 
 
 def _linear_bucket(value, buckets):
@@ -65,33 +82,50 @@ class TestBoundHandlesMatchTheRegistry:
     @given(operations=OPERATIONS)
     def test_bound_and_unbound_snapshots_are_identical(self, operations):
         bound_registry, unbound_registry = MetricsRegistry(), MetricsRegistry()
+        keyed_registry, unbound_keyed_registry = MetricsRegistry(), MetricsRegistry()
         # Bind every label set up front: the untouched ones must create
-        # no series.
-        handles = {
-            (kind, index): getattr(bound_registry, kind)(f"m_{kind}").labelled(**labels)
-            for kind in ("counter", "gauge", "histogram")
-            for index, labels in enumerate(LABEL_SETS)
-        }
+        # no series.  Keyed maps register their metric and bind a key's
+        # series on its first lookup; every key is looked up once here,
+        # before any value is recorded.
+        handles, keyed = {}, {}
+        for kind in ("counter", "gauge", "histogram"):
+            for index, labels in enumerate(LABEL_SETS):
+                handles[kind, index] = getattr(bound_registry, kind)(
+                    f"m_{kind}"
+                ).labelled(**labels)
+                keyed[kind, index] = keyed_registry.keyed(kind, f"m_{kind}", "key", **labels)
+        assert keyed_registry.names() == []
+        for handles_by_key in keyed.values():
+            for key in KEYS:
+                handles_by_key[key]
+        assert keyed_registry.snapshot() == []
+
         observed = {}
-        for kind, index, value in operations:
+        for kind, index, key, value in operations:
             labels = LABEL_SETS[index]
-            handle = handles[kind, index]
-            metric = getattr(unbound_registry, kind)(f"m_{kind}")
-            if kind == "counter":
-                handle.inc(value)
-                metric.inc(value, **labels)
-            elif kind == "gauge":
-                handle.set(value)
-                metric.set(value, **labels)
-            else:
-                handle.observe(value)
-                metric.observe(value, **labels)
+            _apply(kind, handles[kind, index], value)
+            _apply(kind, getattr(unbound_registry, kind)(f"m_{kind}"), value, **labels)
+            _apply(kind, keyed[kind, index][key], value)
+            _apply(
+                kind,
+                getattr(unbound_keyed_registry, kind)(f"m_{kind}"),
+                value,
+                key=key,
+                **labels,
+            )
+            if kind == "histogram":
                 observed.setdefault(index, []).append(value)
 
         bound, unbound = bound_registry.snapshot(), unbound_registry.snapshot()
         assert json.dumps(bound, sort_keys=True) == json.dumps(unbound, sort_keys=True)
-        touched = {(kind, index) for kind, index, _ in operations}
+        touched = {(kind, index) for kind, index, _, _ in operations}
         assert len(bound) == len(touched)
+        keyed_snapshot = keyed_registry.snapshot()
+        assert json.dumps(keyed_snapshot, sort_keys=True) == json.dumps(
+            unbound_keyed_registry.snapshot(), sort_keys=True
+        )
+        touched_keys = {(kind, index, str(key)) for kind, index, key, _ in operations}
+        assert len(keyed_snapshot) == len(touched_keys)
 
         histogram = bound_registry.histogram("m_histogram")
         buckets = histogram.buckets
@@ -225,17 +259,47 @@ class TestRebindAndRestore:
         deployment.run_to(deployment.end_time / 2)
         before = _metric_json(deployment.telemetry)
         restored = restore(capture(deployment))
-        node = restored.kalis_nodes[0]
-        assert not node.bus._topic_counters
-        assert not node.comm._medium_counters
-        assert node.datastore._window_counters is None
-        assert not node.manager._handle_counters
 
         restored.run_to(restored.end_time)
         assert _metric_json(deployment.telemetry) == before
         restored_counts = restored.telemetry.metrics.counter("captures_total")
         clean_counts = clean.telemetry.metrics.counter("captures_total")
         assert restored_counts.total() == clean_counts.total() > 0
+
+    def test_node_rebound_before_a_snapshot_writes_into_the_restored_new_sink(self):
+        deployment = build_e1_deployment(
+            seed=7, symptom_instances=6, telemetry=Telemetry()
+        )
+        deployment.run_to(deployment.end_time / 3)
+        new = Telemetry()
+        deployment.kalis_nodes[0].attach_telemetry(new)
+        deployment.run_to(deployment.end_time * 2 / 3)
+        old_before, new_before = _metric_json(deployment.telemetry), _metric_json(new)
+        old_captures = deployment.telemetry.metrics.counter("captures_total").total()
+        new_captures = new.metrics.counter("captures_total").total()
+        assert old_captures > 0 and new_captures > 0
+
+        restored = restore(capture(deployment))
+        [node] = restored.kalis_nodes
+        restored_new = node.telemetry
+        assert restored_new is not new and restored_new is not restored.telemetry
+        restored.run_to(restored.end_time)
+
+        # Neither original sink moves; the restored copy of the old sink
+        # gains no node-level count; the restored copy of the new sink
+        # gains every later capture, datastore add and bus publish.
+        assert _metric_json(deployment.telemetry) == old_before
+        assert _metric_json(new) == new_before
+        old_copy = restored.telemetry.metrics
+        assert old_copy.counter("captures_total").total() == old_captures
+        metrics = restored_new.metrics
+        rest = node.comm.total_captures - old_captures - new_captures
+        assert rest > 0
+        assert metrics.counter("captures_total").total() == new_captures + rest
+        assert metrics.counter("datastore_added_total").total() == new_captures + rest
+        assert metrics.counter("bus_published_total").total() > new.metrics.counter(
+            "bus_published_total"
+        ).total()
 
 
 # -- pinned metric records ---------------------------------------------------
